@@ -45,6 +45,13 @@ Two measurements, both from binaries built in this tree:
     ceiling floor is 1.25x (min-of-3 walls; the full run keeps the
     strict 1.15x contract recorded in BENCH_simspeed.json).
 
+ 7. the interval sampler (--stats-interval, DESIGN.md section 5c):
+    min-of-N wall time of the 64-core fig18 point with and without
+    --stats-interval=2000, in the "sampler" section. The sampled run
+    must stay within 1.6x of the unsampled one (3.0x under --smoke,
+    loose enough not to flake on a noisy host yet well below the
+    ~5x a per-sample map store costs).
+
 --smoke runs a smaller workload point and only enforces a
 conservative >= 1.05x micro speedup (wired into ctest so sim-speed
 regressions fail loudly without flaking on noisy CI hosts); the 2x
@@ -391,6 +398,42 @@ def run_attribution(runner, smoke):
     }
 
 
+def run_sampler(fig, smoke):
+    """Measure the --stats-interval sampler's host cost: min-of-N
+    walls of one fig18 point with and without sampling. Both runs
+    render the stats JSON (the harness snapshots it per run), so the
+    ratio covers sample evaluation, storage and JSON rendering."""
+    point = ["--workloads=sssp", "--scale=0.2", "--threads=8",
+             "--cores=64", "--credits-list=8", "--seed=42"]
+    reps = 3 if smoke else 5
+
+    def best(extra):
+        walls = []
+        for _ in range(reps):
+            wall, proc = timed_run([fig] + point + extra)
+            if proc.returncode != 0:
+                fail(f"sampler point exited {proc.returncode}:"
+                     f"\n{proc.stdout}\n{proc.stderr}")
+            walls.append(wall)
+        return min(walls), walls
+
+    off, off_walls = best([])
+    on, on_walls = best(["--stats-interval=2000"])
+    return {
+        "bench": os.path.basename(fig),
+        "point": " ".join(point),
+        "interval": 2000,
+        "hostCpus": os.cpu_count() or 1,
+        "reps": reps,
+        "offSeconds": off,
+        "onSeconds": on,
+        "offWalls": off_walls,
+        "onWalls": on_walls,
+        "overhead": on / off,
+        "ceiling": 3.0 if smoke else 1.6,
+    }
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--build-dir", default=None)
@@ -421,6 +464,7 @@ def main():
     shards_res = run_shards(fig, args.smoke)
     ckpt_res = run_checkpoint(runner)
     attr_res = run_attribution(runner, args.smoke)
+    sampler_res = run_sampler(fig, args.smoke)
 
     bar = args.min_speedup
     if bar is None:
@@ -439,6 +483,7 @@ def main():
         "shards": shards_res,
         "checkpoint": ckpt_res,
         "attribution": attr_res,
+        "sampler": sampler_res,
         "minSpeedup": bar,
     }
     with open(args.out, "w") as f:
@@ -465,6 +510,8 @@ def main():
           f" ({ckpt_res['resumeSpeedup']:.1f}x)"
           f" | attribution {attr_res['overhead']:.2f}x"
           f" (ceiling {attr_res['ceiling']:.2f}x)"
+          f" | sampler {sampler_res['overhead']:.2f}x"
+          f" (ceiling {sampler_res['ceiling']:.1f}x)"
           f" | wrote {args.out}")
 
     if micro_res["speedup"] < bar:
@@ -474,6 +521,12 @@ def main():
         fail(f"resumed sweep's time-to-first-figure-point is only "
              f"{ckpt_res['resumeSpeedup']:.2f}x faster than cold "
              f"(floor 2x)")
+    if sampler_res["overhead"] > sampler_res["ceiling"]:
+        fail(f"--stats-interval=2000 costs {sampler_res['overhead']:.2f}x"
+             f" an unsampled run (on {sampler_res['onSeconds']:.3f}s,"
+             f" off {sampler_res['offSeconds']:.3f}s, min of"
+             f" {sampler_res['reps']}); ceiling"
+             f" {sampler_res['ceiling']:.1f}x")
     print("bench_simspeed: OK")
 
 

@@ -2,7 +2,9 @@
 """Check checkpoint/restore A/B equivalence (ISSUE acceptance).
 
 Drives the point_runner bench through the full checkpoint matrix for
-sssp (minnow-pf) and pr (obim):
+sssp (minnow-pf) and pr (obim), plus sssp (minnow-pf) with
+--stats-interval=500 so the rescue anchor carries interval samples
+through the checkpoint:
 
   1. cold baseline: one uninterrupted run with --stats-json (and,
      for sssp, --timeline).
@@ -30,9 +32,11 @@ import sys
 import tempfile
 
 POINTS = [
-    # (workload, config, timeline?)
-    ("sssp", "minnow-pf", True),
-    ("pr", "obim", False),
+    # (label, workload, config, timeline?, extra flags)
+    ("sssp", "sssp", "minnow-pf", True, []),
+    ("pr", "pr", "obim", False, []),
+    ("sssp-sampled", "sssp", "minnow-pf", False,
+     ["--stats-interval=500"]),
 ]
 SCALE = "0.1"
 THREADS = "4"
@@ -78,9 +82,10 @@ def point_json(proc):
     return doc
 
 
-def check_point(runner, tmp, workload, config, with_timeline):
-    tag = f"{workload}/{config}"
-    d = os.path.join(tmp, workload)
+def check_point(runner, tmp, label, workload, config, with_timeline,
+                flags):
+    tag = f"{label}/{config}"
+    d = os.path.join(tmp, label)
     os.mkdir(d)
     stats_a = os.path.join(d, "a.json")
     tl_a = os.path.join(d, "tl_a.json")
@@ -90,7 +95,8 @@ def check_point(runner, tmp, workload, config, with_timeline):
     extra = [f"--stats-json={stats_a}"]
     if with_timeline:
         extra.append(f"--timeline={tl_a}")
-    cold = point_json(run_point(runner, workload, config, extra))
+    cold = point_json(
+        run_point(runner, workload, config, flags + extra))
     if cold["warmStart"]:
         fail(f"{tag}: cold run reported warmStart")
     if not cold["verified"]:
@@ -104,7 +110,7 @@ def check_point(runner, tmp, workload, config, with_timeline):
     extra = [f"--stats-json={stats_s}", f"--checkpoint-out={ckpt}"]
     if with_timeline:
         extra.append(f"--timeline={os.path.join(d, 'tl_s.json')}")
-    run_point(runner, workload, config, extra)
+    run_point(runner, workload, config, flags + extra)
     if read(stats_s) != a:
         fail(f"{tag}: saving a checkpoint changed the stats JSON")
     if not os.path.exists(ckpt):
@@ -116,7 +122,8 @@ def check_point(runner, tmp, workload, config, with_timeline):
     extra = [f"--stats-json={stats_b}", f"--checkpoint-in={ckpt}"]
     if with_timeline:
         extra.append(f"--timeline={tl_b}")
-    warm = point_json(run_point(runner, workload, config, extra))
+    warm = point_json(
+        run_point(runner, workload, config, flags + extra))
     if not warm["warmStart"]:
         fail(f"{tag}: restore did not warm-start")
     if read(stats_b) != a:
@@ -131,14 +138,14 @@ def check_point(runner, tmp, workload, config, with_timeline):
              f"--checkpoint-after={anchor}"]
     if with_timeline:
         extra.append(f"--timeline={os.path.join(d, 'tl_r.json')}")
-    run_point(runner, workload, config, extra)
+    run_point(runner, workload, config, flags + extra)
     if not os.path.exists(rescue):
         fail(f"{tag}: no rescue checkpoint at cycle {anchor}")
     stats_c = os.path.join(d, "c.json")
     extra = [f"--stats-json={stats_c}", f"--checkpoint-in={rescue}"]
     if with_timeline:
         extra.append(f"--timeline={os.path.join(d, 'tl_c.json')}")
-    proc = run_point(runner, workload, config, extra)
+    proc = run_point(runner, workload, config, flags + extra)
     if "witness mismatch" in proc.stderr:
         fail(f"{tag}: rescue witness mismatch:\n{proc.stderr}")
     if read(stats_c) != a:
@@ -154,7 +161,7 @@ def check_point(runner, tmp, workload, config, with_timeline):
     extra = [f"--stats-json={stats_d}", f"--checkpoint-in={bad}"]
     if with_timeline:
         extra.append(f"--timeline={os.path.join(d, 'tl_d.json')}")
-    proc = run_point(runner, workload, config, extra)
+    proc = run_point(runner, workload, config, flags + extra)
     if "CRC mismatch" not in proc.stderr:
         fail(
             f"{tag}: corrupt checkpoint produced no CRC warning:\n"
@@ -177,9 +184,9 @@ def main():
         fail("usage: check_checkpoint_ab.py <point_runner-binary>")
     runner = sys.argv[1]
     with tempfile.TemporaryDirectory() as tmp:
-        for workload, config, with_timeline in POINTS:
-            check_point(runner, tmp, workload, config,
-                        with_timeline)
+        for label, workload, config, with_timeline, flags in POINTS:
+            check_point(runner, tmp, label, workload, config,
+                        with_timeline, flags)
     print("check_checkpoint_ab: OK")
 
 

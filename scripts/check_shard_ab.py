@@ -6,7 +6,9 @@ host-side change: every simulated outcome is byte-identical to the
 legacy single-wheel path. This script drives point_runner through
 the shard matrix:
 
-  1. plain A/B: sssp/minnow-pf (with --timeline) and pr/obim run at
+  1. plain A/B: sssp/minnow-pf (with --timeline), sssp/minnow-pf
+     with --stats-interval=500 (the shard pool then evaluates every
+     interval sample across its lanes) and pr/obim run at
      --shards=1 and --shards={2,4,8}; stats JSON and timeline JSON
      must be byte-identical per workload.
   2. faulted A/B: sssp/minnow-pf with a seeded --faults spec at
@@ -75,11 +77,13 @@ def read(path):
         return f.read()
 
 
-def check_plain(runner, tmp, workload, config, with_timeline):
-    tag = f"{workload}/{config}"
-    base_stats = os.path.join(tmp, f"{workload}-s1.json")
-    base_tl = os.path.join(tmp, f"{workload}-s1-tl.json")
-    extra = [f"--stats-json={base_stats}"]
+def check_plain(runner, tmp, workload, config, with_timeline,
+                flags=(), label=None):
+    label = label or workload
+    tag = f"{label}/{config}"
+    base_stats = os.path.join(tmp, f"{label}-s1.json")
+    base_tl = os.path.join(tmp, f"{label}-s1-tl.json")
+    extra = list(flags) + [f"--stats-json={base_stats}"]
     if with_timeline:
         extra.append(f"--timeline={base_tl}")
     doc = run_point(runner, workload, config, 1, extra)
@@ -89,9 +93,9 @@ def check_plain(runner, tmp, workload, config, with_timeline):
     a_tl = read(base_tl) if with_timeline else None
 
     for shards in (2, 4, 8):
-        stats = os.path.join(tmp, f"{workload}-s{shards}.json")
-        tl = os.path.join(tmp, f"{workload}-s{shards}-tl.json")
-        extra = [f"--stats-json={stats}"]
+        stats = os.path.join(tmp, f"{label}-s{shards}.json")
+        tl = os.path.join(tmp, f"{label}-s{shards}-tl.json")
+        extra = list(flags) + [f"--stats-json={stats}"]
         if with_timeline:
             extra.append(f"--timeline={tl}")
         doc = run_point(runner, workload, config, shards, extra)
@@ -178,6 +182,8 @@ def main():
         base = read(baseline)
 
         check_plain(runner, tmp, "sssp", "minnow-pf", True)
+        check_plain(runner, tmp, "sssp", "minnow-pf", False,
+                    ["--stats-interval=500"], "sssp-sampled")
         check_plain(runner, tmp, "pr", "obim", False)
         check_faulted(runner, tmp)
         check_ckpt_cross_shard(runner, tmp, base)

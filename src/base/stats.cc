@@ -1,43 +1,15 @@
 #include "base/stats.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 #include "base/logging.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel/spsc_channel.hh"
 
 namespace minnow
 {
-
-/**
- * Sharded-host sample fan-out (setSampleExecutor): one SPSC channel
- * per pool lane carrying that lane's slice of an interval sample
- * back to the leader. Capacity 1 — exactly one chunk is in flight
- * per lane per sampling epoch, and the leader drains every channel
- * before the next sample fires. The chunks re-use their storage
- * across epochs via the scratch vectors (moved out, filled, moved
- * in), so steady-state sampling does not allocate channel traffic.
- */
-struct StatsRegistry::SampleFanout
-{
-    using Chunk = std::vector<std::pair<std::string, double>>;
-
-    std::vector<std::unique_ptr<parallel::SpscChannel<Chunk>>> ch;
-    std::vector<Chunk> scratch;
-
-    explicit SampleFanout(std::uint32_t lanes) : scratch(lanes)
-    {
-        ch.reserve(lanes);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            ch.push_back(
-                std::make_unique<parallel::SpscChannel<Chunk>>(1));
-        }
-    }
-};
-
-StatsRegistry::StatsRegistry() = default;
-StatsRegistry::~StatsRegistry() = default;
 
 void
 StatsRegistry::setSampleExecutor(
@@ -48,8 +20,6 @@ StatsRegistry::setSampleExecutor(
     fatal_if(lanes == 0, "sample executor needs at least one lane");
     sampleLanes_ = lanes;
     sampleRunOnAll_ = std::move(runOnAll);
-    fanout_ = lanes > 1 ? std::make_unique<SampleFanout>(lanes)
-                        : nullptr;
 }
 
 void
@@ -79,6 +49,7 @@ StatsGroup::adopt(std::unique_ptr<Stat> s)
     Stat &ref = *s;
     index_[s->name()] = s.get();
     stats_.push_back(std::move(s));
+    ++*layout_;
     return ref;
 }
 
@@ -124,8 +95,9 @@ void
 StatsGroup::checkpoint(ckpt::Ckpt &ck)
 {
     // name_ and index_ are identity, recreated at registration time;
-    // only values travel, guarded by per-stat names.
-    ck.transient("name_ index_");
+    // only values travel, guarded by per-stat names. layout_ points
+    // at the owning registry's host-side layout counter.
+    ck.transient("name_ index_ layout_");
     std::uint64_t n = stats_.size();
     ck.io(n);
     if (ck.loading() && n != stats_.size()) {
@@ -159,8 +131,10 @@ StatsRegistry::group(const std::string &name)
     auto it = groups_.find(name);
     if (it == groups_.end()) {
         it = groups_
-                 .emplace(name, std::make_unique<StatsGroup>(name))
+                 .emplace(name, std::make_unique<StatsGroup>(
+                                    name, &layoutVersion_))
                  .first;
+        ++layoutVersion_;
     }
     return *it->second;
 }
@@ -168,7 +142,7 @@ StatsRegistry::group(const std::string &name)
 StatsGroup &
 StatsRegistry::freshGroup(const std::string &name)
 {
-    groups_.erase(name);
+    removeGroup(name);
     return group(name);
 }
 
@@ -182,7 +156,8 @@ StatsRegistry::find(const std::string &name) const
 void
 StatsRegistry::removeGroup(const std::string &name)
 {
-    groups_.erase(name);
+    if (groups_.erase(name))
+        ++layoutVersion_;
 }
 
 std::vector<const StatsGroup *>
@@ -245,24 +220,36 @@ jsonEscape(std::string &out, const std::string &s)
     }
 }
 
+/** Longest number jsonNumber() emits ("-1.23456789012e-308"). */
+constexpr std::size_t kMaxNumberChars = 24;
+
 void
 jsonNumber(std::string &out, double v)
 {
     if (!std::isfinite(v)) {
-        out += "0";
+        out += '0';
         return;
     }
     // Counters dominate; print integers without an exponent so JSON
-    // consumers can diff them exactly.
-    if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        out += buf;
-    } else {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.12g", v);
-        out += buf;
+    // consumers can diff them exactly. The bytes are printf's %.0f
+    // for integers below 9e15 and %.12g otherwise (C locale): such an
+    // integer is exact in an int64, whose digits are %.0f's save for
+    // the sign of -0, and std::to_chars with a precision is specified
+    // as the printf conversion. Zeros (idle cores' counters, most
+    // of a sample) skip the conversion.
+    if (v == 0) {
+        out += std::signbit(v) ? "-0" : "0";
+        return;
     }
+    char buf[kMaxNumberChars];
+    std::to_chars_result r;
+    if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
+        r = std::to_chars(buf, buf + sizeof buf, std::int64_t(v));
+    } else {
+        r = std::to_chars(buf, buf + sizeof buf, v,
+                          std::chars_format::general, 12);
+    }
+    out.append(buf, r.ptr);
 }
 
 void
@@ -322,23 +309,30 @@ StatsRegistry::toJson() const
         out += '}';
     }
     out += '}';
-    if (!samples_.empty()) {
+    if (!sampleRows_.empty()) {
+        // The interval section dominates the document: size it once.
+        // Its keys are known exactly and no value is longer than
+        // kMaxNumberChars.
+        std::size_t bound = out.size() + 32;
+        for (const SampleRow &row : sampleRows_) {
+            const SampleSchema &sc = schemas_[row.schema];
+            bound += 48 + sc.jsonKeyBytes +
+                     sc.keys.size() * (kMaxNumberChars + 1);
+        }
+        out.reserve(bound);
         out += ",\"intervals\":[";
-        bool firstSample = true;
-        for (const IntervalSample &is : samples_) {
-            if (!firstSample)
-                out += ',';
-            firstSample = false;
-            out += "{\"cycle\":";
-            jsonNumber(out, double(is.cycle));
+        for (std::size_t r = 0; r < sampleRows_.size(); ++r) {
+            const SampleRow &row = sampleRows_[r];
+            const SampleSchema &sc = schemas_[row.schema];
+            const double *vals = sampleValues_.data() + row.offset;
+            out += r ? ",{\"cycle\":" : "{\"cycle\":";
+            jsonNumber(out, double(row.cycle));
             out += ",\"values\":{";
-            bool firstVal = true;
-            for (const auto &[key, v] : is.values) {
-                if (!firstVal)
+            for (std::size_t i = 0; i < sc.jsonKeys.size(); ++i) {
+                if (i)
                     out += ',';
-                firstVal = false;
-                jsonKey(out, key);
-                jsonNumber(out, v);
+                out += sc.jsonKeys[i];
+                jsonNumber(out, vals[i]);
             }
             out += "}}";
         }
@@ -396,9 +390,13 @@ void
 StatsRegistry::checkpoint(ckpt::Ckpt &ck)
 {
     // The sampler is an event-queue daemon and is re-armed by the
-    // restored run itself; the sample-fanout executor is host-side
-    // machinery rebound by the restoring Machine's ctor.
-    ck.transient("sampler_ sampleLanes_ sampleRunOnAll_ fanout_");
+    // restored run itself; the sample executor is host-side
+    // machinery rebound by the restoring Machine's ctor. The layout
+    // counter and evaluation plan are caches over groups_, rebuilt
+    // at the next sample.
+    ck.transient("sampler_ sampleLanes_ sampleRunOnAll_ "
+                 "layoutVersion_ planVersion_ planSchema_ plan_ "
+                 "planGroups_");
     std::uint64_t n = 0;
     for (const auto &[gname, g] : groups_) {
         (void)g;
@@ -427,91 +425,153 @@ StatsRegistry::checkpoint(ckpt::Ckpt &ck)
         if (!ck.ok())
             return;
     }
-    std::uint64_t ns = samples_.size();
+    // Per sample: cycle, key count, then (key, value) pairs in key
+    // order. Checkpoints written before samples were stored by column
+    // use the same layout, so they still load.
+    std::uint64_t ns = sampleRows_.size();
     ck.io(ns);
-    if (ck.loading())
-        samples_.resize(std::size_t(ns));
-    for (IntervalSample &is : samples_) {
-        ck.io(is.cycle);
-        std::uint64_t nv = is.values.size();
+    if (ck.saving()) {
+        for (SampleRow &row : sampleRows_) {
+            SampleSchema &sc = schemas_[row.schema];
+            ck.io(row.cycle);
+            std::uint64_t nv = sc.keys.size();
+            ck.io(nv);
+            for (std::size_t i = 0; i < sc.keys.size(); ++i) {
+                ck.io(sc.keys[i]);
+                ck.io(sampleValues_[row.offset + i]);
+            }
+        }
+        return;
+    }
+    schemas_.clear();
+    sampleRows_.clear();
+    sampleValues_.clear();
+    planVersion_ = kNoPlan;
+    std::vector<std::string> keys; // reused: steady state interns
+    for (std::uint64_t r = 0; r < ns && ck.ok(); ++r) {
+        SampleRow row{0, 0, sampleValues_.size()};
+        ck.io(row.cycle);
+        std::uint64_t nv = 0;
         ck.io(nv);
-        if (ck.saving()) {
-            for (auto &[key, v] : is.values) {
-                std::string k = key;
-                ck.io(k);
-                ck.io(v);
-            }
-        } else {
-            is.values.clear();
-            for (std::uint64_t i = 0; i < nv && ck.ok(); ++i) {
-                std::string k;
-                double v = 0;
-                ck.io(k);
-                ck.io(v);
-                is.values.emplace(std::move(k), v);
-            }
+        std::size_t n = 0;
+        for (; n < nv && ck.ok(); ++n) {
+            if (n == keys.size())
+                keys.emplace_back();
+            ck.io(keys[n]);
+            if (n && !(keys[n - 1] < keys[n]))
+                ck.fail("interval sample keys out of order at '" +
+                        keys[n] + "'");
+            double v = 0;
+            ck.io(v);
+            sampleValues_.push_back(v);
         }
         if (!ck.ok())
             return;
+        row.schema = internSchema(keys.data(), n);
+        sampleRows_.push_back(row);
     }
+}
+
+std::uint32_t
+StatsRegistry::internSchema(const std::string *keys, std::size_t n)
+{
+    if (!schemas_.empty() &&
+        std::equal(schemas_.back().keys.begin(),
+                   schemas_.back().keys.end(), keys, keys + n)) {
+        return std::uint32_t(schemas_.size() - 1);
+    }
+    SampleSchema sc;
+    sc.keys.assign(keys, keys + n);
+    sc.jsonKeys.reserve(n);
+    for (const std::string &k : sc.keys) {
+        std::string jk;
+        jsonKey(jk, k);
+        sc.jsonKeyBytes += jk.size();
+        sc.jsonKeys.push_back(std::move(jk));
+    }
+    schemas_.push_back(std::move(sc));
+    return std::uint32_t(schemas_.size() - 1);
+}
+
+void
+StatsRegistry::rebuildPlan()
+{
+    plan_.clear();
+    planGroups_.clear();
+    // Key -> the last step producing it: that step owns the slot, the
+    // overwrite a map insert would do.
+    std::map<std::string, std::uint32_t> owner;
+    for (const auto &[gname, g] : groups_) {
+        planGroups_.push_back(std::uint32_t(plan_.size()));
+        for (const auto &s : g->stats()) {
+            if (s->kind() == StatKind::Histogram)
+                continue;
+            owner[gname + "." + s->name()] = std::uint32_t(plan_.size());
+            plan_.push_back({s.get(), kNoSlot});
+        }
+    }
+    planGroups_.push_back(std::uint32_t(plan_.size()));
+
+    std::vector<std::string> keys;
+    keys.reserve(owner.size());
+    for (auto &[key, step] : owner) {
+        plan_[step].slot = std::uint32_t(keys.size());
+        keys.push_back(key);
+    }
+    planSchema_ = internSchema(keys.data(), keys.size());
+    planVersion_ = layoutVersion_;
 }
 
 void
 StatsRegistry::recordSample(Cycle now)
 {
-    IntervalSample is;
-    is.cycle = now;
-    if (fanout_ && sampleRunOnAll_) {
-        // Sharded-host path: lane L evaluates groups L, L+lanes,
-        // L+2*lanes, ... (a deterministic partition of the name-
-        // ordered group map) into its own channel; the leader then
-        // drains the channels in lane order. The merge target is a
-        // sorted map, so chunk arrival order cannot change the
-        // sample — byte-identical to the serial loop below by
-        // construction, which scripts/check_shard_ab.py enforces.
-        std::vector<std::pair<const std::string *,
-                              const StatsGroup *>>
-            gs;
-        gs.reserve(groups_.size());
-        for (const auto &[gname, g] : groups_)
-            gs.emplace_back(&gname, g.get());
+    if (planVersion_ != layoutVersion_)
+        rebuildPlan();
+    const std::size_t offset = sampleValues_.size();
+    sampleValues_.resize(offset + schemas_[planSchema_].keys.size());
+    double *row = sampleValues_.data() + offset;
+    // Evaluate groups first, first+stride, ... into their slots.
+    auto evalGroups = [this, row](std::size_t first,
+                                  std::size_t stride) {
+        for (std::size_t g = first; g + 1 < planGroups_.size();
+             g += stride) {
+            for (std::uint32_t p = planGroups_[g];
+                 p < planGroups_[g + 1]; ++p) {
+                double v = plan_[p].stat->value();
+                if (plan_[p].slot != kNoSlot)
+                    row[plan_[p].slot] = v;
+            }
+        }
+    };
+    if (sampleLanes_ > 1 && sampleRunOnAll_) {
+        // Sharded-host path: lane L takes groups L, L+lanes, ... Each
+        // slot has exactly one writing step, so lanes write disjoint
+        // slots and the row equals the serial loop's, which
+        // scripts/check_shard_ab.py enforces.
         const std::uint32_t lanes = sampleLanes_;
-        SampleFanout &fo = *fanout_;
-        sampleRunOnAll_([&](std::uint32_t lane) {
-            SampleFanout::Chunk chunk =
-                std::move(fo.scratch[lane]);
-            chunk.clear();
-            for (std::size_t i = lane; i < gs.size(); i += lanes) {
-                for (const auto &s : gs[i].second->stats()) {
-                    if (s->kind() == StatKind::Histogram)
-                        continue;
-                    chunk.emplace_back(
-                        *gs[i].first + "." + s->name(),
-                        s->value());
-                }
-            }
-            panic_if(!fo.ch[lane]->push(std::move(chunk)),
-                     "stats sample channel %u overflowed", lane);
-        });
-        for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-            parallel::Stamped<SampleFanout::Chunk> msg;
-            panic_if(!fo.ch[lane]->pop(msg),
-                     "stats sample channel %u lost its chunk",
-                     lane);
-            for (auto &[key, v] : msg.value)
-                is.values.emplace(std::move(key), v);
-            fo.scratch[lane] = std::move(msg.value);
-        }
+        sampleRunOnAll_(
+            [&](std::uint32_t lane) { evalGroups(lane, lanes); });
     } else {
-        for (const auto &[gname, g] : groups_) {
-            for (const auto &s : g->stats()) {
-                if (s->kind() == StatKind::Histogram)
-                    continue;
-                is.values[gname + "." + s->name()] = s->value();
-            }
-        }
+        evalGroups(0, 1);
     }
-    samples_.push_back(std::move(is));
+    sampleRows_.push_back({now, planSchema_, offset});
+}
+
+StatsRegistry::SampleView
+StatsRegistry::sampleAt(std::size_t i) const
+{
+    const SampleRow &row = sampleRows_[i];
+    return SampleView(row.cycle, schemas_[row.schema].keys,
+                      sampleValues_.data() + row.offset);
+}
+
+const double *
+StatsRegistry::SampleView::find(const std::string &key) const
+{
+    auto it = std::lower_bound(keys_->begin(), keys_->end(), key);
+    if (it == keys_->end() || *it != key)
+        return nullptr;
+    return values_ + (it - keys_->begin());
 }
 
 } // namespace minnow

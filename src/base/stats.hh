@@ -388,7 +388,15 @@ class HistogramStat : public Stat
 class StatsGroup
 {
   public:
-    explicit StatsGroup(std::string name) : name_(std::move(name)) {}
+    /**
+     * @p layoutVersion is the owning registry's layout counter: every
+     * registration bumps it so the registry's cached sample layout is
+     * rebuilt before the next interval sample.
+     */
+    StatsGroup(std::string name, std::uint64_t *layoutVersion)
+        : name_(std::move(name)), layout_(layoutVersion)
+    {
+    }
 
     StatsGroup(const StatsGroup &) = delete;
     StatsGroup &operator=(const StatsGroup &) = delete;
@@ -427,6 +435,7 @@ class StatsGroup
     Stat &adopt(std::unique_ptr<Stat> s);
 
     std::string name_;
+    std::uint64_t *layout_;
     std::vector<std::unique_ptr<Stat>> stats_;
     std::map<std::string, Stat *> index_;
 };
@@ -443,15 +452,56 @@ class StatsGroup
 class StatsRegistry
 {
   public:
-    /** One flattened snapshot captured by the sampling hook. */
-    struct IntervalSample
+    /**
+     * Read-only view of one interval sample: its cycle and its
+     * "group.stat" -> value pairs in key order. Valid until the
+     * registry records or restores samples.
+     */
+    class SampleView
     {
-        Cycle cycle = 0;
-        std::map<std::string, double> values;
+      public:
+        Cycle cycle() const { return cycle_; }
+        std::size_t size() const { return keys_->size(); }
+        const std::string &key(std::size_t i) const
+        {
+            return (*keys_)[i];
+        }
+        double value(std::size_t i) const { return values_[i]; }
+
+        /** Value of @p key; nullptr when the sample lacks it. */
+        const double *find(const std::string &key) const;
+
+      private:
+        friend class StatsRegistry;
+        SampleView(Cycle cycle, const std::vector<std::string> &keys,
+                   const double *values)
+            : cycle_(cycle), keys_(&keys), values_(values)
+        {
+        }
+
+        Cycle cycle_;
+        const std::vector<std::string> *keys_;
+        const double *values_;
     };
 
-    StatsRegistry(); // out of line: members use pimpl'd types.
-    ~StatsRegistry();
+    /** The interval samples, in recording order. */
+    class SampleList
+    {
+      public:
+        std::size_t size() const { return r_->sampleRows_.size(); }
+        bool empty() const { return r_->sampleRows_.empty(); }
+        SampleView operator[](std::size_t i) const
+        {
+            return r_->sampleAt(i);
+        }
+
+      private:
+        friend class StatsRegistry;
+        explicit SampleList(const StatsRegistry &r) : r_(&r) {}
+        const StatsRegistry *r_;
+    };
+
+    StatsRegistry() = default;
     StatsRegistry(const StatsRegistry &) = delete;
     StatsRegistry &operator=(const StatsRegistry &) = delete;
 
@@ -499,13 +549,14 @@ class StatsRegistry
      * parallel on the shard pool. @p runOnAll must invoke its
      * argument once per lane in [0, @p lanes) — with lane 0 on the
      * calling thread — and return after every lane finished (the
-     * machine passes ShardPool::runOnAll). Each lane evaluates a
-     * deterministic slice of the stats groups into its own SPSC
-     * channel; the leader drains the channels in lane order into
-     * the sample's sorted map, so the result is byte-identical to
-     * the serial path regardless of lane timing. Formulas must be
-     * pure reads of simulator state (they are: this runs between
-     * events, under the pool's fork/join happens-before edges).
+     * machine passes ShardPool::runOnAll). Lane L evaluates groups
+     * L, L+lanes, ... of the name-ordered group map straight into
+     * their own slots of the sample's preallocated row; no two lanes
+     * share a slot, so nothing is merged and the row is
+     * byte-identical to the serial path regardless of lane timing.
+     * Formulas must be pure reads of simulator state (they are: this
+     * runs between events, under the pool's fork/join happens-before
+     * edges).
      */
     void setSampleExecutor(
         std::uint32_t lanes,
@@ -513,10 +564,7 @@ class StatsRegistry
                                &)>
             runOnAll);
 
-    const std::vector<IntervalSample> &samples() const
-    {
-        return samples_;
-    }
+    SampleList samples() const { return SampleList(*this); }
 
     /**
      * Serialize all counter/scalar/histogram values plus the interval
@@ -534,20 +582,69 @@ class StatsRegistry
         Cycle interval = 0;
     };
 
+    /**
+     * The sorted "group.stat" keys one or more samples share, each
+     * also pre-rendered as a JSON object key ("\"group.stat\":").
+     */
+    struct SampleSchema
+    {
+        std::vector<std::string> keys;
+        std::vector<std::string> jsonKeys;
+        std::size_t jsonKeyBytes = 0;
+    };
+
+    /** One interval sample: schema.keys.size() values at offset. */
+    struct SampleRow
+    {
+        Cycle cycle;
+        std::uint32_t schema;
+        std::size_t offset;
+    };
+
+    /**
+     * One step of the sample evaluation plan: the stat to evaluate
+     * and the row slot it writes. kNoSlot marks a stat whose key a
+     * later step also produces ("a.b"+"c" vs "a"+"b.c"): it is still
+     * evaluated, but the later step's value wins, as a map would.
+     */
+    struct PlanStep
+    {
+        const Stat *stat;
+        std::uint32_t slot;
+    };
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+    static constexpr std::uint64_t kNoPlan = ~std::uint64_t(0);
+
     static void sampleEvent(void *arg);
     void recordSample(Cycle now);
+    /** Rebuild plan_ (and intern its schema) for the live layout. */
+    void rebuildPlan();
+    /** Index of a schema with exactly these keys, appending one if
+     *  the latest schema differs. */
+    std::uint32_t internSchema(const std::string *keys, std::size_t n);
+    SampleView sampleAt(std::size_t i) const;
 
     std::map<std::string, std::unique_ptr<StatsGroup>> groups_;
     std::unique_ptr<Sampler> sampler_;
-    std::vector<IntervalSample> samples_;
 
-    /** Per-lane sample channels (pimpl; see stats.cc). Null on the
-     *  serial path. */
-    struct SampleFanout;
+    /** Bumped whenever a group or stat is added or removed. */
+    std::uint64_t layoutVersion_ = 0;
+    /** Layout version plan_ was built for (kNoPlan: none). */
+    std::uint64_t planVersion_ = kNoPlan;
+    /** Schema the current plan writes rows for. */
+    std::uint32_t planSchema_ = 0;
+    /** Evaluation order: group-name order, then registration order. */
+    std::vector<PlanStep> plan_;
+    /** plan_ index where each group (name order) starts, plus end. */
+    std::vector<std::uint32_t> planGroups_;
+
+    std::vector<SampleSchema> schemas_;
+    std::vector<SampleRow> sampleRows_;
+    std::vector<double> sampleValues_;
+
     std::uint32_t sampleLanes_ = 1;
     std::function<void(const std::function<void(std::uint32_t)> &)>
         sampleRunOnAll_;
-    std::unique_ptr<SampleFanout> fanout_;
 };
 
 } // namespace minnow

@@ -83,8 +83,9 @@ class Machine
         if (pool_) {
             // Offload interval-sample evaluation (the dominant
             // serial-phase cost at 64 cores: ~40 stats per core
-            // slice) onto the pool; the merge stays byte-identical
-            // (see StatsRegistry::setSampleExecutor).
+            // slice) onto the pool; lanes write disjoint slots of
+            // the sample row, so it stays byte-identical (see
+            // StatsRegistry::setSampleExecutor).
             stats.setSampleExecutor(
                 pool_->lanes(),
                 [this](

@@ -15,8 +15,7 @@
  *
  * The pool threads are the only std::threads in the simulator
  * (minnow-lint rule P1 enforces this); everything they exchange with
- * the leader rides epoch barriers and SPSC channels from this
- * directory.
+ * the leader rides the epoch barriers from this directory.
  */
 
 #ifndef MINNOW_SIM_PARALLEL_SHARD_POOL_HH

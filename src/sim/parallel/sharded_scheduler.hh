@@ -20,9 +20,9 @@
  * memory system mutates shared L3/directory/NoC state in call
  * order). The shard *host threads* earn their keep in the bound
  * phases between events — per-epoch stats-interval sampling fans
- * out over the ShardPool and returns through SPSC channels drained
- * in source-shard order (base/stats.cc) — and in the --host-par
- * point farm (task_farm.hh).
+ * out over the ShardPool, each lane writing its own slots of the
+ * sample row (base/stats.cc) — and in the --host-par point farm
+ * (task_farm.hh).
  *
  * The run()/stop-trigger/interrupt protocol mirrors EventQueue
  * exactly (same budget accounting, same every-1024-events interrupt

@@ -1,10 +1,10 @@
 /**
  * @file
  * Sharded-host infrastructure tests (sim/parallel): ShardMap
- * partition geometry, SPSC channel ordering and backpressure,
- * ShardPool fork-join epochs, the --host-par task farm, and the
- * end-to-end contract of the whole PR — byte-identical stats JSON
- * between --shards=1 (legacy single wheel) and sharded runs.
+ * partition geometry, ShardPool fork-join epochs, the --host-par
+ * task farm, and the end-to-end contract of the sharded host —
+ * byte-identical stats JSON between --shards=1 (legacy single
+ * wheel) and sharded runs.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "sim/config.hh"
 #include "sim/parallel/shard_map.hh"
 #include "sim/parallel/shard_pool.hh"
-#include "sim/parallel/spsc_channel.hh"
 #include "sim/parallel/task_farm.hh"
 
 namespace minnow
@@ -72,29 +71,6 @@ TEST(ShardMap, ClampsShardsToEngineGroupCount)
     ASSERT_EQ(m.numShards(), 2u);
     EXPECT_EQ(m.coresIn(0), 4u);
     EXPECT_EQ(m.coresIn(1), 4u);
-}
-
-TEST(SpscChannel, FifoOrderAndSequenceStamps)
-{
-    parallel::SpscChannel<int> ch(4);
-    EXPECT_TRUE(ch.empty());
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(ch.push(i * 10));
-    // Full ring: push reports backpressure without losing data.
-    EXPECT_FALSE(ch.push(99));
-    parallel::Stamped<int> msg;
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(ch.pop(msg));
-        EXPECT_EQ(msg.value, i * 10);
-        EXPECT_EQ(msg.seq, std::uint64_t(i));
-    }
-    EXPECT_FALSE(ch.pop(msg));
-    // Sequences keep counting across wraparound.
-    EXPECT_TRUE(ch.push(123));
-    ASSERT_TRUE(ch.pop(msg));
-    EXPECT_EQ(msg.value, 123);
-    EXPECT_EQ(msg.seq, 4u);
-    EXPECT_EQ(ch.pushed(), 5u);
 }
 
 TEST(ShardPool, RunOnAllVisitsEveryLaneAndAdvancesEpochs)

@@ -2,7 +2,9 @@
  * @file
  * Unit tests for the hierarchical stats registry (base/stats.hh):
  * registration/lookup, formula evaluation, histogram bucketing,
- * JSON export round-trip, and EventQueue-driven interval sampling.
+ * JSON export round-trip and number formatting, and EventQueue-driven
+ * interval sampling with its column store (layout changes between
+ * samples, duplicate keys, checkpoint layout).
  *
  * The JSON checks parse the emitted document with a minimal
  * recursive-descent parser so a malformed dump (stray comma, bad
@@ -13,6 +15,8 @@
 
 #include <cctype>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -458,9 +462,12 @@ TEST(StatsRegistry, SamplingRecordsIntervalsAndLetsQueueDrain)
     // The queue drained: the sampler must not keep the sim alive.
     EXPECT_TRUE(eq.empty());
     ASSERT_GE(reg.samples().size(), 4u);
-    EXPECT_EQ(reg.samples()[0].cycle, 100u);
-    EXPECT_EQ(reg.samples()[1].cycle, 200u);
-    EXPECT_DOUBLE_EQ(reg.samples()[0].values.at("sim.work"), 42.0);
+    EXPECT_EQ(reg.samples()[0].cycle(), 100u);
+    EXPECT_EQ(reg.samples()[1].cycle(), 200u);
+    const double *sampled = reg.samples()[0].find("sim.work");
+    ASSERT_NE(sampled, nullptr);
+    EXPECT_DOUBLE_EQ(*sampled, 42.0);
+    EXPECT_EQ(reg.samples()[0].find("sim.nope"), nullptr);
 
     // Interval samples ride along in the JSON document.
     JsonParser p(reg.toJson());
@@ -472,6 +479,226 @@ TEST(StatsRegistry, SamplingRecordsIntervalsAndLetsQueueDrain)
     EXPECT_DOUBLE_EQ(intervals.arr[0].at("cycle").num, 100.0);
     EXPECT_DOUBLE_EQ(
         intervals.arr[0].at("values").at("sim.work").num, 42.0);
+}
+
+TEST(StatsRegistry, JsonNumberFormattingGolden)
+{
+    // Pins the exact bytes of every number branch: integers below
+    // 9e15 print as %.0f, everything else as %.12g, non-finite as 0.
+    // Histograms stay out of interval samples.
+    EventQueue eq;
+    StatsRegistry reg;
+    StatsGroup &g = reg.group("n");
+    g.scalar("atLimit") = 9.0e15;
+    g.scalar("belowLimit") = 8999999999999998.0;
+    g.scalar("huge") = 1e300;
+    g.scalar("negZero") = -0.0;
+    g.scalar("tenth") = 0.1;
+    g.scalar("third") = 1.0 / 3.0;
+    g.scalar("neg") = -1234.5678;
+    g.scalar("tiny") = 2.5e-7;
+    g.scalar("halfPastInt") = 1e15 + 0.5;
+    g.scalar("nan") = std::numeric_limits<double>::quiet_NaN();
+    g.scalar("inf") = std::numeric_limits<double>::infinity();
+    g.scalar("negInf") = -std::numeric_limits<double>::infinity();
+    g.counter("count") += 42;
+    g.histogram("lat", "", 4, 2).sample(5);
+
+    // One sample at cycle 10: the event at 10 was queued first.
+    eq.schedule(10, nopEvent, nullptr);
+    reg.startSampling(eq, 10);
+    eq.run();
+
+    const std::string values =
+        "\"atLimit\":9e+15,\"belowLimit\":8999999999999998,"
+        "\"huge\":1e+300,\"negZero\":-0,\"tenth\":0.1,"
+        "\"third\":0.333333333333,\"neg\":-1234.5678,"
+        "\"tiny\":2.5e-07,\"halfPastInt\":1e+15,\"nan\":0,"
+        "\"inf\":0,\"negInf\":0,\"count\":42";
+    const std::string sampled =
+        "\"n.atLimit\":9e+15,\"n.belowLimit\":8999999999999998,"
+        "\"n.count\":42,\"n.halfPastInt\":1e+15,\"n.huge\":1e+300,"
+        "\"n.inf\":0,\"n.nan\":0,\"n.neg\":-1234.5678,"
+        "\"n.negInf\":0,\"n.negZero\":-0,\"n.tenth\":0.1,"
+        "\"n.third\":0.333333333333,\"n.tiny\":2.5e-07";
+    EXPECT_EQ(reg.toJson(),
+              "{\"schema\":\"minnow-stats-1\",\"groups\":{\"n\":{" +
+                  values +
+                  ",\"lat\":{\"type\":\"histogram\",\"bucketWidth\":4,"
+                  "\"total\":1,\"mean\":5,\"counts\":[0,1]}}},"
+                  "\"intervals\":[{\"cycle\":10,\"values\":{" +
+                  sampled + "}}]}");
+}
+
+void
+addLateGroup(void *arg)
+{
+    static_cast<StatsRegistry *>(arg)->group("late").counter("x") +=
+        7;
+}
+
+void
+dropLateGroup(void *arg)
+{
+    static_cast<StatsRegistry *>(arg)->removeGroup("late");
+}
+
+/** Samples at 100..400; group "late" lives in [150, 250). */
+void
+sampleAcrossLateGroup(StatsRegistry &reg)
+{
+    EventQueue eq;
+    eq.schedule(150, addLateGroup, &reg);
+    eq.schedule(250, dropLateGroup, &reg);
+    eq.schedule(350, nopEvent, nullptr);
+    reg.startSampling(eq, 100);
+    eq.run();
+}
+
+TEST(StatsRegistry, SampleKeysFollowGroupLifetime)
+{
+    StatsRegistry reg;
+    reg.group("sim").counter("ticks") += 3;
+    sampleAcrossLateGroup(reg);
+
+    auto samples = reg.samples();
+    ASSERT_EQ(samples.size(), 4u);
+    const bool hadLate[] = {false, true, false, false};
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        auto s = samples[i];
+        EXPECT_EQ(s.cycle(), 100u * (i + 1));
+        EXPECT_EQ(s.find("late.x") != nullptr, hadLate[i])
+            << "sample " << i;
+        EXPECT_EQ(s.size(), hadLate[i] ? 2u : 1u);
+        ASSERT_NE(s.find("sim.ticks"), nullptr);
+        EXPECT_DOUBLE_EQ(*s.find("sim.ticks"), 3.0);
+    }
+    EXPECT_EQ(samples[1].key(0), "late.x");
+    EXPECT_DOUBLE_EQ(samples[1].value(0), 7.0);
+
+    std::string json = reg.toJson();
+    EXPECT_NE(json.find("\"intervals\":["
+                        "{\"cycle\":100,\"values\":{\"sim.ticks\":3}},"
+                        "{\"cycle\":200,\"values\":{\"late.x\":7,"
+                        "\"sim.ticks\":3}},"
+                        "{\"cycle\":300,\"values\":{\"sim.ticks\":3}},"
+                        "{\"cycle\":400,\"values\":{\"sim.ticks\":3}}]"),
+              std::string::npos)
+        << json;
+
+    // Samples of several layouts survive a checkpoint roundtrip.
+    std::vector<std::uint8_t> buf;
+    {
+        ckpt::Ckpt ck = ckpt::Ckpt::saver(&buf);
+        reg.checkpoint(ck);
+        ASSERT_TRUE(ck.ok()) << ck.error();
+    }
+    StatsRegistry back;
+    back.group("sim").counter("ticks");
+    ckpt::Ckpt ck = ckpt::Ckpt::loader(buf.data(), buf.size());
+    back.checkpoint(ck);
+    ASSERT_TRUE(ck.ok()) << ck.error();
+    EXPECT_EQ(back.toJson(), json);
+}
+
+TEST(StatsRegistry, DuplicateSampleKeysKeepLastWins)
+{
+    // "a"+"b.c" and "a.b"+"c" flatten to the same key. Group "a"
+    // evaluates first, so "a.b"'s value must win, as a map insert
+    // would have it; both formulas still run once per sample.
+    auto build = [](StatsRegistry &reg, int &evalA, int &evalB) {
+        reg.group("a").formula("b.c", "", [&evalA] {
+            ++evalA;
+            return 1.0;
+        });
+        reg.group("a").counter("z") += 5;
+        reg.group("a.b").formula("c", "", [&evalB] {
+            ++evalB;
+            return 2.0;
+        });
+    };
+    auto sampleOnce = [](StatsRegistry &reg) {
+        EventQueue eq;
+        eq.schedule(10, nopEvent, nullptr);
+        reg.startSampling(eq, 10);
+        eq.run();
+    };
+
+    StatsRegistry reg;
+    int evalA = 0, evalB = 0;
+    build(reg, evalA, evalB);
+    sampleOnce(reg);
+    ASSERT_EQ(reg.samples().size(), 1u);
+    auto s = reg.samples()[0];
+    ASSERT_EQ(s.size(), 2u);
+    EXPECT_EQ(s.key(0), "a.b.c");
+    EXPECT_EQ(s.key(1), "a.z");
+    EXPECT_DOUBLE_EQ(s.value(0), 2.0);
+    EXPECT_DOUBLE_EQ(s.value(1), 5.0);
+    EXPECT_EQ(evalA, 1);
+    EXPECT_EQ(evalB, 1);
+
+    // A lane fan-out (run here serially, last lane first) writes
+    // the same row: every slot has exactly one writer.
+    StatsRegistry fanned;
+    int fanA = 0, fanB = 0;
+    build(fanned, fanA, fanB);
+    fanned.setSampleExecutor(
+        3, [](const std::function<void(std::uint32_t)> &fn) {
+            for (std::uint32_t lane = 3; lane-- > 0;)
+                fn(lane);
+        });
+    sampleOnce(fanned);
+    EXPECT_EQ(fanA, 1);
+    EXPECT_EQ(fanB, 1);
+    EXPECT_EQ(fanned.toJson(), reg.toJson());
+}
+
+TEST(StatsRegistry, CheckpointKeepsPerSampleKeyValueLayout)
+{
+    // Per sample: cycle, key count, then (key, value) pairs in key
+    // order. Dropping the group afterwards leaves only the samples
+    // in the registry's section, after a zero group count.
+    StatsRegistry reg;
+    reg.group("sim").counter("b") += 2;
+    reg.group("sim").scalar("a") = 0.5;
+    EventQueue eq;
+    eq.schedule(30, nopEvent, nullptr);
+    reg.startSampling(eq, 20);
+    eq.run();
+    ASSERT_EQ(reg.samples().size(), 2u);
+    reg.removeGroup("sim");
+
+    std::vector<std::uint8_t> got;
+    {
+        ckpt::Ckpt ck = ckpt::Ckpt::saver(&got);
+        reg.checkpoint(ck);
+        ASSERT_TRUE(ck.ok()) << ck.error();
+    }
+    std::vector<std::uint8_t> want;
+    {
+        ckpt::Ckpt ck = ckpt::Ckpt::saver(&want);
+        std::uint64_t groups = 0, samples = 2, width = 2;
+        ck.io(groups);
+        ck.io(samples);
+        for (Cycle cycle : {Cycle(20), Cycle(40)}) {
+            std::string ka = "sim.a", kb = "sim.b";
+            double va = 0.5, vb = 2.0;
+            ck.io(cycle);
+            ck.io(width);
+            ck.io(ka);
+            ck.io(va);
+            ck.io(kb);
+            ck.io(vb);
+        }
+    }
+    EXPECT_EQ(got, want);
+
+    StatsRegistry back;
+    ckpt::Ckpt ck = ckpt::Ckpt::loader(want.data(), want.size());
+    back.checkpoint(ck);
+    ASSERT_TRUE(ck.ok()) << ck.error();
+    EXPECT_EQ(back.toJson(), reg.toJson());
 }
 
 TEST(StatsRegistry, WriteJsonFileRoundTrips)

@@ -2,8 +2,8 @@
 
 The sharded-host design (DESIGN.md section 5j) gives the simulator
 exactly one home for host threads and cross-thread state:
-sim/parallel/ (ShardPool's worker threads, EpochBarrier, SpscChannel,
-the task farm). Everything outside that directory must stay
+sim/parallel/ (ShardPool's worker threads, EpochBarrier, the task
+farm). Everything outside that directory must stay
 single-threaded from the host's point of view, because byte-identical
 replay is argued file by file — a stray std::thread or a mutex-guarded
 shared structure elsewhere silently widens the audit surface:
@@ -12,8 +12,8 @@ shared structure elsewhere silently widens the audit surface:
     context outside the pool's fork-join discipline;
   - std::mutex / condition_variable and friends (and their lock
     wrappers): blocking cross-thread state with untracked ordering —
-    sharded code exchanges data through epoch barriers and SPSC
-    channels, whose drain order is canonical and testable;
+    sharded code exchanges data through epoch barriers, with each
+    lane writing its own disjoint slots;
   - std::atomic / std::atomic_flag: lock-free cross-thread state
     with the same problem in a harder-to-spot shape;
   - std::async / future / promise / semaphores / latches / barriers:
