@@ -129,7 +129,7 @@ installSignalHandlers()
  * Accumulates one JSON entry per benchmark run and writes the whole
  * log as {"schema":"minnow-bench-stats-1","runs":[...]} — each run
  * carries its identifying parameters plus the machine's full
- * StatsRegistry snapshot (schema "minnow-stats-1") under "stats".
+ * StatsRegistry snapshot (schema "minnow-stats-2") under "stats".
  *
  * Shared by value-copied BenchArgs (e.g. inside credit sweeps) via
  * shared_ptr, so every run of the process lands in one file. The
@@ -147,33 +147,38 @@ class StatsJsonLog
     StatsJsonLog(const StatsJsonLog &) = delete;
     StatsJsonLog &operator=(const StatsJsonLog &) = delete;
 
-    /** Append one run; @p statsJson is RunResult::statsJson. */
+    /**
+     * Append one run; @p statsJson is RunResult::statsJson, moved
+     * into the entry, so pass an rvalue when the caller is done
+     * with it.
+     */
     void
     add(const std::string &workload, const std::string &config,
         std::uint32_t threads, double scale, std::uint64_t seed,
         std::uint32_t credits, bool timedOut, bool verified,
         Cycle cycles, std::uint64_t instructions, double l2Mpki,
-        const std::string &statsJson)
+        std::string statsJson)
     {
         char buf[64];
-        std::string e = "{\"workload\":\"" + workload + "\"";
-        e += ",\"config\":\"" + config + "\"";
-        e += ",\"threads\":" + std::to_string(threads);
+        Entry e;
+        e.head = "{\"workload\":\"" + workload + "\"";
+        e.head += ",\"config\":\"" + config + "\"";
+        e.head += ",\"threads\":" + std::to_string(threads);
         std::snprintf(buf, sizeof buf, "%.6g", scale);
-        e += std::string(",\"scale\":") + buf;
-        e += ",\"seed\":" + std::to_string(seed);
-        e += ",\"credits\":" + std::to_string(credits);
-        e += std::string(",\"timedOut\":") +
-             (timedOut ? "true" : "false");
-        e += std::string(",\"verified\":") +
-             (verified ? "true" : "false");
-        e += ",\"cycles\":" + std::to_string(cycles);
-        e += ",\"instructions\":" + std::to_string(instructions);
+        e.head += std::string(",\"scale\":") + buf;
+        e.head += ",\"seed\":" + std::to_string(seed);
+        e.head += ",\"credits\":" + std::to_string(credits);
+        e.head += std::string(",\"timedOut\":") +
+                  (timedOut ? "true" : "false");
+        e.head += std::string(",\"verified\":") +
+                  (verified ? "true" : "false");
+        e.head += ",\"cycles\":" + std::to_string(cycles);
+        e.head += ",\"instructions\":" + std::to_string(instructions);
         std::snprintf(buf, sizeof buf, "%.6g", l2Mpki);
-        e += std::string(",\"l2Mpki\":") + buf;
-        e += ",\"stats\":" +
-             (statsJson.empty() ? std::string("{}") : statsJson);
-        e += "}";
+        e.head += std::string(",\"l2Mpki\":") + buf;
+        e.head += ",\"stats\":";
+        e.stats = statsJson.empty() ? std::string("{}")
+                                    : std::move(statsJson);
         entries_.push_back(std::move(e));
         dirty_ = true;
     }
@@ -191,20 +196,32 @@ class StatsJsonLog
                          path_.c_str());
             return;
         }
-        std::fprintf(f, "{\"schema\":\"minnow-bench-stats-1\","
-                        "\"runs\":[");
+        auto put = [f](const std::string &s) {
+            std::fwrite(s.data(), 1, s.size(), f);
+        };
+        std::fputs("{\"schema\":\"minnow-bench-stats-1\",\"runs\":[", f);
         for (std::size_t i = 0; i < entries_.size(); ++i) {
-            std::fprintf(f, "%s%s", i ? "," : "",
-                         entries_[i].c_str());
+            if (i)
+                std::fputc(',', f);
+            put(entries_[i].head);
+            put(entries_[i].stats);
+            std::fputc('}', f);
         }
-        std::fprintf(f, "]}\n");
+        std::fputs("]}\n", f);
         std::fclose(f);
         dirty_ = false;
     }
 
   private:
+    /** One run: its parameters up to "stats": and the stats JSON. */
+    struct Entry
+    {
+        std::string head;
+        std::string stats;
+    };
+
     std::string path_;
-    std::vector<std::string> entries_;
+    std::vector<Entry> entries_;
     bool dirty_ = true; //!< start true: an empty log still writes.
 };
 

@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
@@ -157,7 +158,8 @@ main(int argc, char **argv)
                                 spec.machine.minnow.prefetchCredits,
                                 r.run.timedOut, r.run.verified,
                                 r.run.cycles, r.run.instructions,
-                                r.run.l2Mpki, r.run.statsJson);
+                                r.run.l2Mpki,
+                                std::move(r.run.statsJson));
         }
     }
 

@@ -50,7 +50,8 @@ Two measurements, both from binaries built in this tree:
     --stats-interval=2000, in the "sampler" section. The sampled run
     must stay within 1.6x of the unsampled one (3.0x under --smoke,
     loose enough not to flake on a noisy host yet well below the
-    ~5x a per-sample map store costs).
+    ~5x a per-sample map store costs). One further untimed run with
+    --stats-json records the sampled point's log size (onDocBytes).
 
 --smoke runs a smaller workload point and only enforces a
 conservative >= 1.05x micro speedup (wired into ctest so sim-speed
@@ -212,11 +213,10 @@ def run_shards(fig, smoke):
     """Sweep --shards on one fig18 point and record events/sec.
 
     The sharded scheduler keeps event execution serial (that is the
-    byte-identity argument), so its host speedup comes from the
-    shard pool's fan-out of stats-interval sampling and, at the
-    bench layer, the --host-par point farm. Both need real host
-    cores: the shards=4-beats-shards=1 floor is only enforced when
-    the host has >= 4 CPUs, otherwise the sweep is recorded with
+    byte-identity argument) and interval sampling is serial too, so
+    the only host parallelism left is the bench layer's --host-par
+    point farm. The shards=4-beats-shards=1 floor is only enforced
+    when the host has >= 4 CPUs, otherwise the sweep is recorded with
     the gate marked skipped (a 1-CPU CI box cannot express host
     parallelism, and failing there would only teach people to
     ignore the bench).
@@ -419,6 +419,14 @@ def run_sampler(fig, smoke):
 
     off, off_walls = best([])
     on, on_walls = best(["--stats-interval=2000"])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "stats.json")
+        _, proc = timed_run([fig] + point + ["--stats-interval=2000",
+                                             f"--stats-json={out}"])
+        if proc.returncode != 0:
+            fail(f"sampler --stats-json point exited"
+                 f" {proc.returncode}:\n{proc.stdout}\n{proc.stderr}")
+        doc_bytes = os.path.getsize(out)
     return {
         "bench": os.path.basename(fig),
         "point": " ".join(point),
@@ -431,6 +439,7 @@ def run_sampler(fig, smoke):
         "onWalls": on_walls,
         "overhead": on / off,
         "ceiling": 3.0 if smoke else 1.6,
+        "onDocBytes": doc_bytes,
     }
 
 
@@ -511,7 +520,8 @@ def main():
           f" | attribution {attr_res['overhead']:.2f}x"
           f" (ceiling {attr_res['ceiling']:.2f}x)"
           f" | sampler {sampler_res['overhead']:.2f}x"
-          f" (ceiling {sampler_res['ceiling']:.1f}x)"
+          f" (ceiling {sampler_res['ceiling']:.1f}x,"
+          f" {sampler_res['onDocBytes'] / 1e6:.1f} MB log)"
           f" | wrote {args.out}")
 
     if micro_res["speedup"] < bar:

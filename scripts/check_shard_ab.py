@@ -7,8 +7,8 @@ legacy single-wheel path. This script drives point_runner through
 the shard matrix:
 
   1. plain A/B: sssp/minnow-pf (with --timeline), sssp/minnow-pf
-     with --stats-interval=500 (the shard pool then evaluates every
-     interval sample across its lanes) and pr/obim run at
+     with --stats-interval=500 (interval samples taken on the
+     sharded weave) and pr/obim run at
      --shards=1 and --shards={2,4,8}; stats JSON and timeline JSON
      must be byte-identical per workload.
   2. faulted A/B: sssp/minnow-pf with a seeded --faults spec at

@@ -4,7 +4,7 @@
 Runs a small fig18 credit sweep with --stats-json, then checks the
 emitted document against the "minnow-bench-stats-1" schema: every run
 entry must carry its identifying parameters plus a full
-"minnow-stats-1" registry snapshot, and the minnow-pf runs must
+"minnow-stats-2" registry snapshot, and the minnow-pf runs must
 expose the acceptance metrics (per-core L2 MPKI, prefetch
 coverage/accuracy, credit-stall counters).
 
@@ -16,6 +16,12 @@ and "attribution" (the five prefetch lifecycle classes, the derived
 coverage and pollution rates, lineage conservation counters, and the
 six latency histograms with P50/P95/P99), all numeric and
 non-negative.
+
+A second point of the same sweep runs with --stats-interval=2000 and
+checks the column-wise interval section: every layout is a sorted key
+list without duplicates, every sample names an existing layout and
+carries one numeric value per layout key, and sample cycles strictly
+increase.
 
 Usage: check_stats_json.py <path-to-fig18-binary>
 Exit status 0 on success; prints the first failure otherwise.
@@ -62,8 +68,8 @@ def check_run_entry(run, i):
                 f"{type(run[key]).__name__}, wanted {ty}"
             )
     stats = run["stats"]
-    if stats.get("schema") != "minnow-stats-1":
-        fail(f"runs[{i}].stats.schema != minnow-stats-1")
+    if stats.get("schema") != "minnow-stats-2":
+        fail(f"runs[{i}].stats.schema != minnow-stats-2")
     groups = stats.get("groups")
     if not isinstance(groups, dict) or not groups:
         fail(f"runs[{i}].stats.groups missing or empty")
@@ -171,45 +177,95 @@ def check_observability_groups(groups, i):
         fail(f"runs[{i}]: timeline recorded no events")
 
 
+def check_intervals(stats, i):
+    """The minnow-stats-2 interval section: layouts + samples."""
+    iv = stats.get("intervals")
+    if not isinstance(iv, dict):
+        fail(f"runs[{i}]: no intervals object")
+    layouts, samples = iv.get("layouts"), iv.get("samples")
+    if not isinstance(layouts, list) or not layouts:
+        fail(f"runs[{i}]: intervals.layouts missing or empty")
+    if not isinstance(samples, list) or not samples:
+        fail(f"runs[{i}]: intervals.samples missing or empty")
+    for l, keys in enumerate(layouts):
+        if not isinstance(keys, list) or not all(
+            isinstance(k, str) for k in keys
+        ):
+            fail(f"runs[{i}]: layout {l} is not a list of keys")
+        if keys != sorted(keys):
+            fail(f"runs[{i}]: layout {l} keys are not sorted")
+        if len(set(keys)) != len(keys):
+            fail(f"runs[{i}]: layout {l} has duplicate keys")
+    prev = None
+    for j, s in enumerate(samples):
+        cycle, layout, values = (
+            s.get("cycle"), s.get("layout"), s.get("values"))
+        if not isinstance(cycle, int) or isinstance(cycle, bool):
+            fail(f"runs[{i}] sample {j}: bad cycle {cycle!r}")
+        if prev is not None and cycle <= prev:
+            fail(f"runs[{i}] sample {j}: cycle {cycle} <= {prev}")
+        prev = cycle
+        if (not isinstance(layout, int) or isinstance(layout, bool)
+                or not 0 <= layout < len(layouts)):
+            fail(f"runs[{i}] sample {j}: no layout {layout!r}")
+        if not isinstance(values, list):
+            fail(f"runs[{i}] sample {j}: values is not a list")
+        if len(values) != len(layouts[layout]):
+            fail(
+                f"runs[{i}] sample {j}: {len(values)} values for"
+                f" {len(layouts[layout])} keys of layout {layout}"
+            )
+        for v in values:
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                fail(f"runs[{i}] sample {j}: non-numeric value {v!r}")
+    return len(samples)
+
+
+def run_bench(bench, tmp, extra):
+    """Run the sweep point with --stats-json and return the doc."""
+    out = os.path.join(tmp, "stats.json")
+    cmd = [
+        bench,
+        "--workloads=sssp",
+        "--scale=0.05",
+        "--threads=4",
+        "--cores=4",
+        "--credits-list=4",
+        *extra,
+        f"--stats-json={out}",
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        fail(
+            f"bench exited {proc.returncode}:\n{proc.stdout}"
+            f"\n{proc.stderr}"
+        )
+    try:
+        with open(out) as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        fail(f"cannot parse {out}: {e}")
+    if doc.get("schema") != "minnow-bench-stats-1":
+        fail("top-level schema != minnow-bench-stats-1")
+    runs = doc.get("runs")
+    if not isinstance(runs, list) or not runs:
+        fail("runs missing or empty")
+    return runs
+
+
 def main():
     if len(sys.argv) != 2:
         fail("usage: check_stats_json.py <fig18-binary>")
     bench = sys.argv[1]
 
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "stats.json")
         trace = os.path.join(tmp, "trace.json")
-        cmd = [
-            bench,
-            "--workloads=sssp",
-            "--scale=0.05",
-            "--threads=4",
-            "--cores=4",
-            "--credits-list=4",
+        runs = run_bench(bench, tmp, [
             "--host-profile=true",
             "--attribution",
             f"--timeline={trace}",
-            f"--stats-json={out}",
-        ]
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=600
-        )
-        if proc.returncode != 0:
-            fail(
-                f"bench exited {proc.returncode}:\n{proc.stdout}"
-                f"\n{proc.stderr}"
-            )
-        try:
-            with open(out) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            fail(f"cannot parse {out}: {e}")
-
-    if doc.get("schema") != "minnow-bench-stats-1":
-        fail("top-level schema != minnow-bench-stats-1")
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        fail("runs missing or empty")
+        ])
+        sampled = run_bench(bench, tmp, ["--stats-interval=2000"])
 
     saw_pf = False
     for i, run in enumerate(runs):
@@ -222,7 +278,13 @@ def main():
     if not saw_pf:
         fail("no minnow-pf run in the sweep output")
 
-    print(f"check_stats_json: OK ({len(runs)} runs validated)")
+    nsamples = 0
+    for i, run in enumerate(sampled):
+        check_run_entry(run, i)
+        nsamples += check_intervals(run["stats"], i)
+
+    print(f"check_stats_json: OK ({len(runs)} runs validated,"
+          f" {nsamples} interval samples in {len(sampled)} sampled runs)")
 
 
 if __name__ == "__main__":

@@ -12,17 +12,6 @@ namespace minnow
 {
 
 void
-StatsRegistry::setSampleExecutor(
-    std::uint32_t lanes,
-    std::function<void(const std::function<void(std::uint32_t)> &)>
-        runOnAll)
-{
-    fatal_if(lanes == 0, "sample executor needs at least one lane");
-    sampleLanes_ = lanes;
-    sampleRunOnAll_ = std::move(runOnAll);
-}
-
-void
 StatsReport::dump(std::FILE *out) const
 {
     for (const auto &[key, value] : values_)
@@ -291,7 +280,7 @@ StatsRegistry::toJson() const
 {
     std::string out;
     out.reserve(4096);
-    out += "{\"schema\":\"minnow-stats-1\",\"groups\":{";
+    out += "{\"schema\":\"minnow-stats-2\",\"groups\":{";
     bool firstGroup = true;
     for (const auto &[gname, g] : groups_) {
         if (!firstGroup)
@@ -310,33 +299,45 @@ StatsRegistry::toJson() const
     }
     out += '}';
     if (!sampleRows_.empty()) {
-        // The interval section dominates the document: size it once.
-        // Its keys are known exactly and no value is longer than
-        // kMaxNumberChars.
-        std::size_t bound = out.size() + 32;
+        // Each layout's keys once, then per sample its layout index
+        // and its values in that layout's key order.
+        out += ",\"intervals\":{\"layouts\":[";
+        for (std::size_t l = 0; l < schemas_.size(); ++l) {
+            out += l ? ",[" : "[";
+            for (std::size_t i = 0; i < schemas_[l].size(); ++i) {
+                out += i ? ",\"" : "\"";
+                jsonEscape(out, schemas_[l][i]);
+                out += '"';
+            }
+            out += ']';
+        }
+        out += "],\"samples\":[";
+        // The samples dominate the document: size it once. No number
+        // is longer than kMaxNumberChars; the rest of a sample is 33
+        // bytes of keys and brackets.
+        std::size_t bound = out.size() + 3;
         for (const SampleRow &row : sampleRows_) {
-            const SampleSchema &sc = schemas_[row.schema];
-            bound += 48 + sc.jsonKeyBytes +
-                     sc.keys.size() * (kMaxNumberChars + 1);
+            bound += 33 + 2 * kMaxNumberChars +
+                     schemas_[row.schema].size() * (kMaxNumberChars + 1);
         }
         out.reserve(bound);
-        out += ",\"intervals\":[";
         for (std::size_t r = 0; r < sampleRows_.size(); ++r) {
             const SampleRow &row = sampleRows_[r];
-            const SampleSchema &sc = schemas_[row.schema];
             const double *vals = sampleValues_.data() + row.offset;
             out += r ? ",{\"cycle\":" : "{\"cycle\":";
             jsonNumber(out, double(row.cycle));
-            out += ",\"values\":{";
-            for (std::size_t i = 0; i < sc.jsonKeys.size(); ++i) {
+            out += ",\"layout\":";
+            jsonNumber(out, double(row.schema));
+            out += ",\"values\":[";
+            for (std::size_t i = 0; i < schemas_[row.schema].size();
+                 ++i) {
                 if (i)
                     out += ',';
-                out += sc.jsonKeys[i];
                 jsonNumber(out, vals[i]);
             }
-            out += "}}";
+            out += "]}";
         }
-        out += ']';
+        out += "]}";
     }
     out += '}';
     return out;
@@ -390,13 +391,10 @@ void
 StatsRegistry::checkpoint(ckpt::Ckpt &ck)
 {
     // The sampler is an event-queue daemon and is re-armed by the
-    // restored run itself; the sample executor is host-side
-    // machinery rebound by the restoring Machine's ctor. The layout
-    // counter and evaluation plan are caches over groups_, rebuilt
-    // at the next sample.
-    ck.transient("sampler_ sampleLanes_ sampleRunOnAll_ "
-                 "layoutVersion_ planVersion_ planSchema_ plan_ "
-                 "planGroups_");
+    // restored run itself. The layout counter and evaluation plan
+    // are caches over groups_, rebuilt at the next sample.
+    ck.transient("sampler_ layoutVersion_ planVersion_ planSchema_ "
+                 "plan_");
     std::uint64_t n = 0;
     for (const auto &[gname, g] : groups_) {
         (void)g;
@@ -432,12 +430,12 @@ StatsRegistry::checkpoint(ckpt::Ckpt &ck)
     ck.io(ns);
     if (ck.saving()) {
         for (SampleRow &row : sampleRows_) {
-            SampleSchema &sc = schemas_[row.schema];
+            std::vector<std::string> &keys = schemas_[row.schema];
             ck.io(row.cycle);
-            std::uint64_t nv = sc.keys.size();
+            std::uint64_t nv = keys.size();
             ck.io(nv);
-            for (std::size_t i = 0; i < sc.keys.size(); ++i) {
-                ck.io(sc.keys[i]);
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+                ck.io(keys[i]);
                 ck.io(sampleValues_[row.offset + i]);
             }
         }
@@ -475,21 +473,14 @@ StatsRegistry::checkpoint(ckpt::Ckpt &ck)
 std::uint32_t
 StatsRegistry::internSchema(const std::string *keys, std::size_t n)
 {
-    if (!schemas_.empty() &&
-        std::equal(schemas_.back().keys.begin(),
-                   schemas_.back().keys.end(), keys, keys + n)) {
-        return std::uint32_t(schemas_.size() - 1);
+    // Latest first: consecutive samples almost always share one.
+    for (std::size_t s = schemas_.size(); s-- > 0;) {
+        if (std::equal(schemas_[s].begin(), schemas_[s].end(), keys,
+                       keys + n)) {
+            return std::uint32_t(s);
+        }
     }
-    SampleSchema sc;
-    sc.keys.assign(keys, keys + n);
-    sc.jsonKeys.reserve(n);
-    for (const std::string &k : sc.keys) {
-        std::string jk;
-        jsonKey(jk, k);
-        sc.jsonKeyBytes += jk.size();
-        sc.jsonKeys.push_back(std::move(jk));
-    }
-    schemas_.push_back(std::move(sc));
+    schemas_.emplace_back(keys, keys + n);
     return std::uint32_t(schemas_.size() - 1);
 }
 
@@ -497,12 +488,10 @@ void
 StatsRegistry::rebuildPlan()
 {
     plan_.clear();
-    planGroups_.clear();
     // Key -> the last step producing it: that step owns the slot, the
     // overwrite a map insert would do.
     std::map<std::string, std::uint32_t> owner;
     for (const auto &[gname, g] : groups_) {
-        planGroups_.push_back(std::uint32_t(plan_.size()));
         for (const auto &s : g->stats()) {
             if (s->kind() == StatKind::Histogram)
                 continue;
@@ -510,7 +499,6 @@ StatsRegistry::rebuildPlan()
             plan_.push_back({s.get(), kNoSlot});
         }
     }
-    planGroups_.push_back(std::uint32_t(plan_.size()));
 
     std::vector<std::string> keys;
     keys.reserve(owner.size());
@@ -528,31 +516,12 @@ StatsRegistry::recordSample(Cycle now)
     if (planVersion_ != layoutVersion_)
         rebuildPlan();
     const std::size_t offset = sampleValues_.size();
-    sampleValues_.resize(offset + schemas_[planSchema_].keys.size());
+    sampleValues_.resize(offset + schemas_[planSchema_].size());
     double *row = sampleValues_.data() + offset;
-    // Evaluate groups first, first+stride, ... into their slots.
-    auto evalGroups = [this, row](std::size_t first,
-                                  std::size_t stride) {
-        for (std::size_t g = first; g + 1 < planGroups_.size();
-             g += stride) {
-            for (std::uint32_t p = planGroups_[g];
-                 p < planGroups_[g + 1]; ++p) {
-                double v = plan_[p].stat->value();
-                if (plan_[p].slot != kNoSlot)
-                    row[plan_[p].slot] = v;
-            }
-        }
-    };
-    if (sampleLanes_ > 1 && sampleRunOnAll_) {
-        // Sharded-host path: lane L takes groups L, L+lanes, ... Each
-        // slot has exactly one writing step, so lanes write disjoint
-        // slots and the row equals the serial loop's, which
-        // scripts/check_shard_ab.py enforces.
-        const std::uint32_t lanes = sampleLanes_;
-        sampleRunOnAll_(
-            [&](std::uint32_t lane) { evalGroups(lane, lanes); });
-    } else {
-        evalGroups(0, 1);
+    for (const PlanStep &step : plan_) {
+        double v = step.stat->value();
+        if (step.slot != kNoSlot)
+            row[step.slot] = v;
     }
     sampleRows_.push_back({now, planSchema_, offset});
 }
@@ -561,7 +530,7 @@ StatsRegistry::SampleView
 StatsRegistry::sampleAt(std::size_t i) const
 {
     const SampleRow &row = sampleRows_[i];
-    return SampleView(row.cycle, schemas_[row.schema].keys,
+    return SampleView(row.cycle, schemas_[row.schema],
                       sampleValues_.data() + row.offset);
 }
 

@@ -544,26 +544,6 @@ class StatsRegistry
      */
     void startSampling(EventQueue &eq, Cycle interval);
 
-    /**
-     * Sharded-host mode (--shards=N): evaluate interval samples in
-     * parallel on the shard pool. @p runOnAll must invoke its
-     * argument once per lane in [0, @p lanes) — with lane 0 on the
-     * calling thread — and return after every lane finished (the
-     * machine passes ShardPool::runOnAll). Lane L evaluates groups
-     * L, L+lanes, ... of the name-ordered group map straight into
-     * their own slots of the sample's preallocated row; no two lanes
-     * share a slot, so nothing is merged and the row is
-     * byte-identical to the serial path regardless of lane timing.
-     * Formulas must be pure reads of simulator state (they are: this
-     * runs between events, under the pool's fork/join happens-before
-     * edges).
-     */
-    void setSampleExecutor(
-        std::uint32_t lanes,
-        std::function<void(const std::function<void(std::uint32_t)>
-                               &)>
-            runOnAll);
-
     SampleList samples() const { return SampleList(*this); }
 
     /**
@@ -582,18 +562,7 @@ class StatsRegistry
         Cycle interval = 0;
     };
 
-    /**
-     * The sorted "group.stat" keys one or more samples share, each
-     * also pre-rendered as a JSON object key ("\"group.stat\":").
-     */
-    struct SampleSchema
-    {
-        std::vector<std::string> keys;
-        std::vector<std::string> jsonKeys;
-        std::size_t jsonKeyBytes = 0;
-    };
-
-    /** One interval sample: schema.keys.size() values at offset. */
+    /** One interval sample: schemas_[schema].size() values at offset. */
     struct SampleRow
     {
         Cycle cycle;
@@ -619,8 +588,8 @@ class StatsRegistry
     void recordSample(Cycle now);
     /** Rebuild plan_ (and intern its schema) for the live layout. */
     void rebuildPlan();
-    /** Index of a schema with exactly these keys, appending one if
-     *  the latest schema differs. */
+    /** Index of the schema with exactly these keys, appending one
+     *  if none has them. */
     std::uint32_t internSchema(const std::string *keys, std::size_t n);
     SampleView sampleAt(std::size_t i) const;
 
@@ -635,16 +604,14 @@ class StatsRegistry
     std::uint32_t planSchema_ = 0;
     /** Evaluation order: group-name order, then registration order. */
     std::vector<PlanStep> plan_;
-    /** plan_ index where each group (name order) starts, plus end. */
-    std::vector<std::uint32_t> planGroups_;
 
-    std::vector<SampleSchema> schemas_;
+    /**
+     * The distinct sorted "group.stat" key lists samples use (the
+     * JSON "layouts"), in order of first use.
+     */
+    std::vector<std::vector<std::string>> schemas_;
     std::vector<SampleRow> sampleRows_;
     std::vector<double> sampleValues_;
-
-    std::uint32_t sampleLanes_ = 1;
-    std::function<void(const std::function<void(std::uint32_t)> &)>
-        sampleRunOnAll_;
 };
 
 } // namespace minnow

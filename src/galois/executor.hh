@@ -106,7 +106,7 @@ struct RunResult
 
     /**
      * JSON snapshot of the machine's StatsRegistry taken at collect
-     * time (schema "minnow-stats-1"; see DESIGN.md). Safe to keep
+     * time (schema "minnow-stats-2"; see DESIGN.md). Safe to keep
      * after the machine is gone.
      */
     std::string statsJson;

@@ -80,19 +80,6 @@ class Machine
                 shardMap_.reset();
             }
         }
-        if (pool_) {
-            // Offload interval-sample evaluation (the dominant
-            // serial-phase cost at 64 cores: ~40 stats per core
-            // slice) onto the pool; lanes write disjoint slots of
-            // the sample row, so it stays byte-identical (see
-            // StatsRegistry::setSampleExecutor).
-            stats.setSampleExecutor(
-                pool_->lanes(),
-                [this](
-                    const std::function<void(std::uint32_t)> &fn) {
-                    pool_->runOnAll(fn);
-                });
-        }
         trace::setCycleSource(&eq.nowRef());
         if (!cfg.timelinePath.empty()) {
             timeline = std::make_unique<::minnow::timeline::Timeline>(

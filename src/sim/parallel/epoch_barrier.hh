@@ -51,9 +51,9 @@ class EpochBarrier
 
     /**
      * Host nanoseconds @p lane has spent blocked at this barrier.
-     * Relaxed: the hostprof barrierWaitNs formula reads these from
-     * a sampling fan-out while other lanes may still be updating
-     * their own counters; a momentarily stale value is fine for a
+     * Relaxed: the hostprof barrierWaitNs formula reads these on
+     * the leader while other lanes may still be updating their own
+     * counters; a momentarily stale value is fine for a
      * profile, a data race is not.
      */
     std::uint64_t

@@ -38,7 +38,7 @@ class Machine;
 /**
  * Build the "minnow-diag-1" diagnostic document: reason, cycle,
  * event-queue head, per-core pipeline state, monitor accounting, and
- * the machine's full "minnow-stats-1" registry snapshot under
+ * the machine's full "minnow-stats-2" registry snapshot under
  * "stats".
  */
 std::string diagnosticJson(runtime::Machine &machine,

@@ -534,7 +534,7 @@ TEST(WatchdogTest, TripsOnLivelockAndEmitsDiagnostic)
     std::string diag = diagnosticJson(m, reason);
     EXPECT_NE(diag.find("\"schema\":\"minnow-diag-1\""),
               std::string::npos);
-    EXPECT_NE(diag.find("\"minnow-stats-1\""), std::string::npos);
+    EXPECT_NE(diag.find("\"minnow-stats-2\""), std::string::npos);
     EXPECT_NE(diag.find("\"cores\":["), std::string::npos);
 }
 
@@ -629,7 +629,7 @@ TEST(PanicHookDeathTest, PanicWritesStatsSnapshot)
     std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
     std::fclose(f);
     buf[n] = '\0';
-    EXPECT_NE(std::string(buf).find("minnow-stats-1"),
+    EXPECT_NE(std::string(buf).find("minnow-stats-2"),
               std::string::npos);
     std::remove(path.c_str());
 }

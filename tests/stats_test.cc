@@ -401,7 +401,7 @@ TEST(StatsRegistry, JsonRoundTrip)
     JsonValue doc = p.parse();
     ASSERT_TRUE(p.ok()) << reg.toJson();
 
-    EXPECT_EQ(doc.at("schema").str, "minnow-stats-1");
+    EXPECT_EQ(doc.at("schema").str, "minnow-stats-2");
     const JsonValue &groups = doc.at("groups");
     ASSERT_EQ(groups.kind, JsonValue::Obj);
     ASSERT_TRUE(groups.has("core0"));
@@ -473,12 +473,13 @@ TEST(StatsRegistry, SamplingRecordsIntervalsAndLetsQueueDrain)
     JsonParser p(reg.toJson());
     JsonValue doc = p.parse();
     ASSERT_TRUE(p.ok());
-    const JsonValue &intervals = doc.at("intervals");
-    ASSERT_EQ(intervals.kind, JsonValue::Arr);
-    ASSERT_GE(intervals.arr.size(), 4u);
-    EXPECT_DOUBLE_EQ(intervals.arr[0].at("cycle").num, 100.0);
-    EXPECT_DOUBLE_EQ(
-        intervals.arr[0].at("values").at("sim.work").num, 42.0);
+    const JsonValue &samples = doc.at("intervals").at("samples");
+    ASSERT_EQ(samples.kind, JsonValue::Arr);
+    ASSERT_GE(samples.arr.size(), 4u);
+    EXPECT_DOUBLE_EQ(samples.arr[0].at("cycle").num, 100.0);
+    EXPECT_DOUBLE_EQ(samples.arr[0].at("layout").num, 0.0);
+    ASSERT_EQ(samples.arr[0].at("values").arr.size(), 1u);
+    EXPECT_DOUBLE_EQ(samples.arr[0].at("values").arr[0].num, 42.0);
 }
 
 TEST(StatsRegistry, JsonNumberFormattingGolden)
@@ -515,19 +516,23 @@ TEST(StatsRegistry, JsonNumberFormattingGolden)
         "\"third\":0.333333333333,\"neg\":-1234.5678,"
         "\"tiny\":2.5e-07,\"halfPastInt\":1e+15,\"nan\":0,"
         "\"inf\":0,\"negInf\":0,\"count\":42";
+    const std::string layout =
+        "[\"n.atLimit\",\"n.belowLimit\",\"n.count\",\"n.halfPastInt\","
+        "\"n.huge\",\"n.inf\",\"n.nan\",\"n.neg\",\"n.negInf\","
+        "\"n.negZero\",\"n.tenth\",\"n.third\",\"n.tiny\"]";
     const std::string sampled =
-        "\"n.atLimit\":9e+15,\"n.belowLimit\":8999999999999998,"
-        "\"n.count\":42,\"n.halfPastInt\":1e+15,\"n.huge\":1e+300,"
-        "\"n.inf\":0,\"n.nan\":0,\"n.neg\":-1234.5678,"
-        "\"n.negInf\":0,\"n.negZero\":-0,\"n.tenth\":0.1,"
-        "\"n.third\":0.333333333333,\"n.tiny\":2.5e-07";
+        "[9e+15,8999999999999998,42,1e+15,1e+300,0,0,-1234.5678,0,"
+        "-0,0.1,0.333333333333,2.5e-07]";
     EXPECT_EQ(reg.toJson(),
-              "{\"schema\":\"minnow-stats-1\",\"groups\":{\"n\":{" +
+              "{\"schema\":\"minnow-stats-2\",\"groups\":{\"n\":{" +
                   values +
                   ",\"lat\":{\"type\":\"histogram\",\"bucketWidth\":4,"
                   "\"total\":1,\"mean\":5,\"counts\":[0,1]}}},"
-                  "\"intervals\":[{\"cycle\":10,\"values\":{" +
-                  sampled + "}}]}");
+                  "\"intervals\":{\"layouts\":[" +
+                  layout +
+                  "],\"samples\":[{\"cycle\":10,\"layout\":0,"
+                  "\"values\":" +
+                  sampled + "}]}}");
 }
 
 void
@@ -543,14 +548,17 @@ dropLateGroup(void *arg)
     static_cast<StatsRegistry *>(arg)->removeGroup("late");
 }
 
-/** Samples at 100..400; group "late" lives in [150, 250). */
+/**
+ * Samples every 100 cycles up to the first multiple of 100 after
+ * @p lastEvent; group "late" lives in [150, 250).
+ */
 void
-sampleAcrossLateGroup(StatsRegistry &reg)
+sampleAcrossLateGroup(StatsRegistry &reg, Cycle lastEvent = 350)
 {
     EventQueue eq;
     eq.schedule(150, addLateGroup, &reg);
     eq.schedule(250, dropLateGroup, &reg);
-    eq.schedule(350, nopEvent, nullptr);
+    eq.schedule(lastEvent, nopEvent, nullptr);
     reg.startSampling(eq, 100);
     eq.run();
 }
@@ -576,13 +584,14 @@ TEST(StatsRegistry, SampleKeysFollowGroupLifetime)
     EXPECT_EQ(samples[1].key(0), "late.x");
     EXPECT_DOUBLE_EQ(samples[1].value(0), 7.0);
 
+    // The first layout comes back after "late" is gone.
     std::string json = reg.toJson();
-    EXPECT_NE(json.find("\"intervals\":["
-                        "{\"cycle\":100,\"values\":{\"sim.ticks\":3}},"
-                        "{\"cycle\":200,\"values\":{\"late.x\":7,"
-                        "\"sim.ticks\":3}},"
-                        "{\"cycle\":300,\"values\":{\"sim.ticks\":3}},"
-                        "{\"cycle\":400,\"values\":{\"sim.ticks\":3}}]"),
+    EXPECT_NE(json.find("\"intervals\":{\"layouts\":[[\"sim.ticks\"],"
+                        "[\"late.x\",\"sim.ticks\"]],\"samples\":["
+                        "{\"cycle\":100,\"layout\":0,\"values\":[3]},"
+                        "{\"cycle\":200,\"layout\":1,\"values\":[7,3]},"
+                        "{\"cycle\":300,\"layout\":0,\"values\":[3]},"
+                        "{\"cycle\":400,\"layout\":0,\"values\":[3]}]}"),
               std::string::npos)
         << json;
 
@@ -601,33 +610,94 @@ TEST(StatsRegistry, SampleKeysFollowGroupLifetime)
     EXPECT_EQ(back.toJson(), json);
 }
 
+TEST(StatsRegistry, TwoLayoutIntervalsGolden)
+{
+    // Three samples over two layouts: "late" joins after the first
+    // and is gone before the third, which reuses layout 0.
+    StatsRegistry reg;
+    reg.group("sim").counter("ticks") += 3;
+    sampleAcrossLateGroup(reg, 250);
+    ASSERT_EQ(reg.samples().size(), 3u);
+    EXPECT_EQ(reg.toJson(),
+              "{\"schema\":\"minnow-stats-2\","
+              "\"groups\":{\"sim\":{\"ticks\":3}},"
+              "\"intervals\":{\"layouts\":[[\"sim.ticks\"],"
+              "[\"late.x\",\"sim.ticks\"]],\"samples\":["
+              "{\"cycle\":100,\"layout\":0,\"values\":[3]},"
+              "{\"cycle\":200,\"layout\":1,\"values\":[7,3]},"
+              "{\"cycle\":300,\"layout\":0,\"values\":[3]}]}}");
+}
+
+void
+bumpTicks(void *arg)
+{
+    *static_cast<CounterStat *>(arg) += 11;
+}
+
+TEST(StatsRegistry, JsonSamplesExpandToSampleViews)
+{
+    // Re-expanding each JSON sample through its layout gives back
+    // exactly what samples()[i] holds, key by key.
+    StatsRegistry reg;
+    CounterStat &ticks = reg.group("sim").counter("ticks");
+    reg.group("sim").scalar("half") = 0.5;
+    reg.group("core0").formula("twice", "", [&ticks] {
+        return 2.0 * double(ticks.count());
+    });
+    EventQueue eq;
+    for (Cycle t = 30; t <= 130; t += 20)
+        eq.schedule(t, bumpTicks, &ticks);
+    eq.schedule(70, addLateGroup, &reg);
+    eq.schedule(110, dropLateGroup, &reg);
+    reg.startSampling(eq, 25);
+    eq.run();
+
+    JsonParser p(reg.toJson());
+    JsonValue doc = p.parse();
+    ASSERT_TRUE(p.ok());
+    const JsonValue &layouts = doc.at("intervals").at("layouts");
+    const JsonValue &samples = doc.at("intervals").at("samples");
+    ASSERT_EQ(layouts.arr.size(), 2u);
+    ASSERT_EQ(samples.arr.size(), reg.samples().size());
+    ASSERT_EQ(samples.arr.size(), 6u);
+    for (std::size_t i = 0; i < samples.arr.size(); ++i) {
+        const JsonValue &js = samples.arr[i];
+        auto view = reg.samples()[i];
+        EXPECT_DOUBLE_EQ(js.at("cycle").num, double(view.cycle()));
+        std::size_t l = std::size_t(js.at("layout").num);
+        ASSERT_LT(l, layouts.arr.size());
+        const JsonValue &keys = layouts.arr[l];
+        const JsonValue &values = js.at("values");
+        ASSERT_EQ(keys.arr.size(), view.size()) << "sample " << i;
+        ASSERT_EQ(values.arr.size(), view.size()) << "sample " << i;
+        for (std::size_t k = 0; k < view.size(); ++k) {
+            EXPECT_EQ(keys.arr[k].str, view.key(k));
+            EXPECT_DOUBLE_EQ(values.arr[k].num, view.value(k))
+                << "sample " << i << " key " << view.key(k);
+        }
+    }
+}
+
 TEST(StatsRegistry, DuplicateSampleKeysKeepLastWins)
 {
     // "a"+"b.c" and "a.b"+"c" flatten to the same key. Group "a"
     // evaluates first, so "a.b"'s value must win, as a map insert
     // would have it; both formulas still run once per sample.
-    auto build = [](StatsRegistry &reg, int &evalA, int &evalB) {
-        reg.group("a").formula("b.c", "", [&evalA] {
-            ++evalA;
-            return 1.0;
-        });
-        reg.group("a").counter("z") += 5;
-        reg.group("a.b").formula("c", "", [&evalB] {
-            ++evalB;
-            return 2.0;
-        });
-    };
-    auto sampleOnce = [](StatsRegistry &reg) {
-        EventQueue eq;
-        eq.schedule(10, nopEvent, nullptr);
-        reg.startSampling(eq, 10);
-        eq.run();
-    };
-
     StatsRegistry reg;
     int evalA = 0, evalB = 0;
-    build(reg, evalA, evalB);
-    sampleOnce(reg);
+    reg.group("a").formula("b.c", "", [&evalA] {
+        ++evalA;
+        return 1.0;
+    });
+    reg.group("a").counter("z") += 5;
+    reg.group("a.b").formula("c", "", [&evalB] {
+        ++evalB;
+        return 2.0;
+    });
+    EventQueue eq;
+    eq.schedule(10, nopEvent, nullptr);
+    reg.startSampling(eq, 10);
+    eq.run();
     ASSERT_EQ(reg.samples().size(), 1u);
     auto s = reg.samples()[0];
     ASSERT_EQ(s.size(), 2u);
@@ -637,21 +707,6 @@ TEST(StatsRegistry, DuplicateSampleKeysKeepLastWins)
     EXPECT_DOUBLE_EQ(s.value(1), 5.0);
     EXPECT_EQ(evalA, 1);
     EXPECT_EQ(evalB, 1);
-
-    // A lane fan-out (run here serially, last lane first) writes
-    // the same row: every slot has exactly one writer.
-    StatsRegistry fanned;
-    int fanA = 0, fanB = 0;
-    build(fanned, fanA, fanB);
-    fanned.setSampleExecutor(
-        3, [](const std::function<void(std::uint32_t)> &fn) {
-            for (std::uint32_t lane = 3; lane-- > 0;)
-                fn(lane);
-        });
-    sampleOnce(fanned);
-    EXPECT_EQ(fanA, 1);
-    EXPECT_EQ(fanB, 1);
-    EXPECT_EQ(fanned.toJson(), reg.toJson());
 }
 
 TEST(StatsRegistry, CheckpointKeepsPerSampleKeyValueLayout)
