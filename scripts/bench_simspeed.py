@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure simulation speed and write BENCH_simspeed.json.
 
-Two measurements, both from binaries built in this tree:
+Six measurements, all from binaries built in this tree:
 
  1. micro_substrate's event-queue benchmarks: the timing-wheel
     EventQueue (BM_EventQueueScheduleRun) against the pre-wheel
@@ -19,14 +19,7 @@ Two measurements, both from binaries built in this tree:
     popWait P95 strictly below the k=1 value (the round-trip
     amortization the batched-dequeue path exists for).
 
- 4. a --shards=1,2,4,8 sweep of the same fig18 point with
-    stats-interval sampling on: events/sec per shard count plus the
-    pool's barrier-wait share land in the "shards" section. On
-    hosts with >= 4 CPUs, shards=4 must beat shards=1 events/sec
-    (on smaller hosts the sweep is recorded, the floor skipped —
-    serial event weaving cannot go faster without host cores).
-
- 5. the checkpoint subsystem (DESIGN.md section 5i): host-time cost
+ 4. the checkpoint subsystem (DESIGN.md section 5i): host-time cost
     of saving and warm-restoring a fig18-scale point via
     point_runner, and warm-vs-cold time-to-first-figure-point for a
     crash-resumed sweep (scripts/sweep_orchestrator.py serving a
@@ -34,18 +27,21 @@ Two measurements, both from binaries built in this tree:
     resumed sweep must deliver its first figure point >= 2x faster
     than the cold run.
 
- 6. the causal-attribution layer (--attribution, DESIGN.md section
+ 5. the causal-attribution layer (--attribution, DESIGN.md section
     5k): wall time of the same point_runner point with attribution
     off (twice, to measure host noise) and on. With the knob off no
     tracker exists (every emit site is a null pointer check), so
     the off runs bound the noise floor; with it on the run must
     stay under a 15% slowdown (or twice the measured off-run noise
-    if the host is noisier than that). The smoke point runs ~60 ms,
-    where scheduler jitter alone is several percent, so the smoke
-    ceiling floor is 1.25x (min-of-3 walls; the full run keeps the
-    strict 1.15x contract recorded in BENCH_simspeed.json).
+    if the host is noisier than that). The runs alternate (off, on,
+    off, on, ...), so a slow stretch of the host hits both sides
+    alike. The smoke point runs ~70 ms, where scheduler jitter alone
+    is several percent, so the smoke ceiling floor is 1.25x (each
+    off series a min of 5 walls, the on side a min of 10 against
+    the min of both off series; the full run keeps the strict 1.15x
+    contract recorded in BENCH_simspeed.json).
 
- 7. the interval sampler (--stats-interval, DESIGN.md section 5c):
+ 6. the interval sampler (--stats-interval, DESIGN.md section 5c):
     min-of-N wall time of the 64-core fig18 point with and without
     --stats-interval=2000, in the "sampler" section. The sampled run
     must stay within 1.6x of the unsampled one (3.0x under --smoke,
@@ -58,6 +54,11 @@ conservative >= 1.05x micro speedup (wired into ctest so sim-speed
 regressions fail loudly without flaking on noisy CI hosts); the 2x
 checkpoint-resume floor and the attribution overhead ceiling apply
 in both modes.
+
+Every section returns its numbers; BENCH_simspeed.json is written
+first and the gates are evaluated afterwards, so one failed gate
+still leaves every section on record. All failed gates are printed
+together and the exit status is non-zero.
 
 Usage:
   bench_simspeed.py [--build-dir DIR] [--micro PATH] [--fig PATH]
@@ -185,100 +186,15 @@ def run_offload(offload, smoke):
             doc = json.load(f)
     points = {(p["batch"], p.get("specSlot", False)): p
               for p in doc.get("points", [])}
-    k1, k4 = points.get((1, False)), points.get((4, False))
-    spec = points.get((4, True))
-    if not k1 or not k4:
+    if (1, False) not in points or (4, False) not in points:
         fail("offload_breakdown output missing the k=1/k=4 points")
-    if not spec:
+    if (4, True) not in points:
         fail("offload_breakdown output missing the k=4 spec-slot"
              " point (--batch-list '4s' entry)")
-    for p in (k1, k4, spec):
-        if p["timedOut"]:
-            fail(f"offload point k={p['batch']} timed out")
-    if k4["popWaitP95"] >= k1["popWaitP95"]:
-        fail(f"dequeue batching regression: k=4 popWaitP95"
-             f" {k4['popWaitP95']} not below k=1's"
-             f" {k1['popWaitP95']}")
-    if spec["specHits"] <= 0:
-        fail("spec-slot point recorded zero specHits: the core-side"
-             " slot is not delivering (or the sweep lost the"
-             " --spec-slot plumbing again)")
     return {"bench": os.path.basename(offload),
             "args": " ".join(cmd[1:-1]),
             "workload": doc.get("workload"),
             "points": doc.get("points", [])}
-
-
-def run_shards(fig, smoke):
-    """Sweep --shards on one fig18 point and record events/sec.
-
-    The sharded scheduler keeps event execution serial (that is the
-    byte-identity argument) and interval sampling is serial too, so
-    the only host parallelism left is the bench layer's --host-par
-    point farm. The shards=4-beats-shards=1 floor is only enforced
-    when the host has >= 4 CPUs, otherwise the sweep is recorded with
-    the gate marked skipped (a 1-CPU CI box cannot express host
-    parallelism, and failing there would only teach people to
-    ignore the bench).
-    """
-    scale = "0.05" if smoke else "0.2"
-    cores = "16" if smoke else "64"
-    sweep = []
-    for shards in (1, 2, 4, 8):
-        with tempfile.TemporaryDirectory() as tmp:
-            out = os.path.join(tmp, "stats.json")
-            cmd = [
-                fig,
-                "--workloads=sssp",
-                f"--scale={scale}",
-                "--threads=8",
-                f"--cores={cores}",
-                "--credits-list=8",
-                "--seed=42",
-                "--host-profile",
-                "--stats-interval=2000",
-                f"--shards={shards}",
-                f"--stats-json={out}",
-            ]
-            wall, proc = timed_run(cmd)
-            if proc.returncode != 0:
-                fail(f"shards={shards} fig point exited"
-                     f" {proc.returncode}:\n{proc.stdout}\n"
-                     f"{proc.stderr}")
-            with open(out) as f:
-                doc = json.load(f)
-        runs = doc.get("runs") or []
-        if not runs:
-            fail(f"no runs in shards={shards} stats JSON")
-        hp = (runs[0].get("stats", {}).get("groups", {})
-              .get("hostprof"))
-        if not hp:
-            fail(f"no hostprof group at shards={shards}")
-        sweep.append({
-            "shards": shards,
-            "eventsPerSec": hp.get("eventsPerSec", 0.0),
-            "events": hp.get("events", 0.0),
-            "wallNs": hp.get("wallNs", 0.0),
-            "barrierWaitNs": hp.get("barrierWaitNs", 0.0),
-            "wallSeconds": wall,
-        })
-    by = {p["shards"]: p for p in sweep}
-    host_cpus = os.cpu_count() or 1
-    gate_enforced = host_cpus >= 4
-    if gate_enforced and \
-            by[4]["eventsPerSec"] <= by[1]["eventsPerSec"]:
-        fail(f"sharded-host regression: shards=4"
-             f" {by[4]['eventsPerSec']:.3e} ev/s not above"
-             f" shards=1 {by[1]['eventsPerSec']:.3e} ev/s"
-             f" on a {host_cpus}-CPU host")
-    return {
-        "bench": os.path.basename(fig),
-        "point": f"sssp scale={scale} threads=8 cores={cores}"
-                 f" credits=8 stats-interval=2000",
-        "hostCpus": host_cpus,
-        "gateEnforced": gate_enforced,
-        "sweep": sweep,
-    }
 
 
 def timed_run(cmd, timeout=1800):
@@ -356,36 +272,36 @@ def run_attribution(runner, smoke):
              "--threads=8", "--cores=8", f"--scale={scale}",
              "--seed=42"]
 
-    # Smoke points run ~60 ms, where scheduler jitter alone is a
+    # Smoke points run ~70 ms, where scheduler jitter alone is a
     # few percent of the wall time; min-of-N keeps the ratio about
     # the simulator instead of the host.
-    reps = 3 if smoke else 2
+    reps = 5 if smoke else 2
 
     def point_run(extra):
-        best = None
-        for _ in range(reps):
-            wall, proc = timed_run([runner] + point + extra)
-            if proc.returncode != 0:
-                fail(f"point_runner exited {proc.returncode}:"
-                     f"\n{proc.stdout}\n{proc.stderr}")
-            best = wall if best is None else min(best, wall)
-        return best
+        wall, proc = timed_run([runner] + point + extra)
+        if proc.returncode != 0:
+            fail(f"point_runner exited {proc.returncode}:"
+                 f"\n{proc.stdout}\n{proc.stderr}")
+        return wall
 
-    # Two off measurements bound the host noise; with the knob off
-    # the tracker does not exist, so any spread between them is
-    # pure host jitter, not attribution cost.
-    off_a = point_run([])
-    off_b = point_run([])
-    on_wall = point_run(["--attribution"])
+    # Two off series bound the host noise; with the knob off the
+    # tracker does not exist, so any spread between them is pure
+    # host jitter, not attribution cost. The runs alternate off, on,
+    # off, on, with the off runs dealt to series A and B in turn, so
+    # both sides of the ratio are minima over the same number of
+    # runs (a minimum over more runs would bias the ratio upward).
+    off_as, ons, off_bs = [], [], []
+    for _ in range(reps):
+        off_as.append(point_run([]))
+        ons.append(point_run(["--attribution"]))
+        off_bs.append(point_run([]))
+        ons.append(point_run(["--attribution"]))
+    off_a, on_wall, off_b = min(off_as), min(ons), min(off_bs)
     off_wall = min(off_a, off_b)
     noise = abs(off_a - off_b) / off_wall if off_wall else 0.0
     floor = 1.25 if smoke else 1.15
     ceiling = max(floor, 1.0 + 2.0 * noise)
     overhead = on_wall / off_wall if off_wall else 1.0
-    if overhead > ceiling:
-        fail(f"--attribution overhead {overhead:.2f}x exceeds the "
-             f"{ceiling:.2f}x ceiling (off {off_wall:.2f}s twice "
-             f"within {noise * 100:.1f}%, on {on_wall:.2f}s)")
     return {
         "runner": os.path.basename(runner),
         "point": " ".join(point),
@@ -393,6 +309,10 @@ def run_attribution(runner, smoke):
         "offSecondsB": off_b,
         "offNoise": noise,
         "onSeconds": on_wall,
+        "reps": reps,
+        "offWallsA": off_as,
+        "onWalls": ons,
+        "offWallsB": off_bs,
         "overhead": overhead,
         "ceiling": ceiling,
     }
@@ -443,6 +363,53 @@ def run_sampler(fig, smoke):
     }
 
 
+def gate_failures(micro_res, offload_res, ckpt_res, attr_res,
+                  sampler_res, bar):
+    """Evaluate every gate on the recorded numbers; return the
+    failure messages (empty when all gates pass)."""
+    bad = []
+    if micro_res["speedup"] < bar:
+        bad.append(f"wheel-vs-heap speedup {micro_res['speedup']:.3f}x"
+                   f" below the {bar}x bar")
+    points = {(p["batch"], p.get("specSlot", False)): p
+              for p in offload_res["points"]}
+    k1, k4, spec = points[(1, False)], points[(4, False)], \
+        points[(4, True)]
+    for p in (k1, k4, spec):
+        if p["timedOut"]:
+            bad.append(f"offload point k={p['batch']} timed out")
+    if k4["popWaitP95"] >= k1["popWaitP95"]:
+        bad.append(f"dequeue batching regression: k=4 popWaitP95"
+                   f" {k4['popWaitP95']} not below k=1's"
+                   f" {k1['popWaitP95']}")
+    if spec["specHits"] <= 0:
+        bad.append("spec-slot point recorded zero specHits: the"
+                   " core-side slot is not delivering (or the sweep"
+                   " lost the --spec-slot plumbing again)")
+    if ckpt_res["resumeSpeedup"] < 2.0:
+        bad.append(f"resumed sweep's time-to-first-figure-point is"
+                   f" only {ckpt_res['resumeSpeedup']:.2f}x faster"
+                   f" than cold (floor 2x)")
+    if attr_res["overhead"] > attr_res["ceiling"]:
+        off = min(attr_res["offSecondsA"], attr_res["offSecondsB"])
+        bad.append(f"--attribution overhead"
+                   f" {attr_res['overhead']:.2f}x exceeds the"
+                   f" {attr_res['ceiling']:.2f}x ceiling (off"
+                   f" {off:.3f}s, two series of"
+                   f" {len(attr_res['offWallsA'])} within"
+                   f" {attr_res['offNoise'] * 100:.1f}%; on"
+                   f" {attr_res['onSeconds']:.3f}s, min of"
+                   f" {len(attr_res['onWalls'])})")
+    if sampler_res["overhead"] > sampler_res["ceiling"]:
+        bad.append(f"--stats-interval=2000 costs"
+                   f" {sampler_res['overhead']:.2f}x an unsampled run"
+                   f" (on {sampler_res['onSeconds']:.3f}s, off"
+                   f" {sampler_res['offSeconds']:.3f}s, min of"
+                   f" {sampler_res['reps']}); ceiling"
+                   f" {sampler_res['ceiling']:.1f}x")
+    return bad
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--build-dir", default=None)
@@ -470,7 +437,6 @@ def main():
     micro_res = run_micro(micro)
     workload_res = run_workload(fig, args.smoke)
     offload_res = run_offload(offload, args.smoke)
-    shards_res = run_shards(fig, args.smoke)
     ckpt_res = run_checkpoint(runner)
     attr_res = run_attribution(runner, args.smoke)
     sampler_res = run_sampler(fig, args.smoke)
@@ -485,11 +451,11 @@ def main():
         "host": {
             "platform": platform.platform(),
             "machine": platform.machine(),
+            "hostCpus": os.cpu_count() or 1,
         },
         "micro": micro_res,
         "workload": workload_res,
         "offload": offload_res,
-        "shards": shards_res,
         "checkpoint": ckpt_res,
         "attribution": attr_res,
         "sampler": sampler_res,
@@ -502,7 +468,6 @@ def main():
     hp = workload_res["hostprof"]
     opts = {p["batch"]: p for p in offload_res["points"]
             if not p.get("specSlot")}
-    sh = {p["shards"]: p for p in shards_res["sweep"]}
     print(f"bench_simspeed: wheel {micro_res['wheelEventsPerSec']:.3e}"
           f" ev/s vs heap {micro_res['heapEventsPerSec']:.3e} ev/s"
           f" -> {micro_res['speedup']:.2f}x"
@@ -510,10 +475,6 @@ def main():
           f" ({int(hp.get('events', 0))} events)"
           f" | popWaitP95 k=1 {opts[1]['popWaitP95']:.0f}"
           f" -> k=4 {opts[4]['popWaitP95']:.0f}"
-          f" | shards 1->{sh[1]['eventsPerSec']:.2e}"
-          f" 4->{sh[4]['eventsPerSec']:.2e} ev/s"
-          f" (gate {'on' if shards_res['gateEnforced'] else 'off'},"
-          f" {shards_res['hostCpus']} host CPUs)"
           f" | ckpt cold {ckpt_res['coldSeconds']:.3f}s, resume "
           f"{ckpt_res['resumeSeconds']:.3f}s"
           f" ({ckpt_res['resumeSpeedup']:.1f}x)"
@@ -524,19 +485,10 @@ def main():
           f" {sampler_res['onDocBytes'] / 1e6:.1f} MB log)"
           f" | wrote {args.out}")
 
-    if micro_res["speedup"] < bar:
-        fail(f"wheel-vs-heap speedup {micro_res['speedup']:.3f}x"
-             f" below the {bar}x bar")
-    if ckpt_res["resumeSpeedup"] < 2.0:
-        fail(f"resumed sweep's time-to-first-figure-point is only "
-             f"{ckpt_res['resumeSpeedup']:.2f}x faster than cold "
-             f"(floor 2x)")
-    if sampler_res["overhead"] > sampler_res["ceiling"]:
-        fail(f"--stats-interval=2000 costs {sampler_res['overhead']:.2f}x"
-             f" an unsampled run (on {sampler_res['onSeconds']:.3f}s,"
-             f" off {sampler_res['offSeconds']:.3f}s, min of"
-             f" {sampler_res['reps']}); ceiling"
-             f" {sampler_res['ceiling']:.1f}x")
+    bad = gate_failures(micro_res, offload_res, ckpt_res, attr_res,
+                        sampler_res, bar)
+    if bad:
+        fail(f"{len(bad)} gate(s) failed:\n  " + "\n  ".join(bad))
     print("bench_simspeed: OK")
 
 

@@ -23,6 +23,12 @@ list without duplicates, every sample names an existing layout and
 carries one numeric value per layout key, and sample cycles strictly
 increase.
 
+A third leg runs a three-point credit sweep at --host-par=1 and at
+--host-par=3 and requires byte-identical --stats-json files and
+stdouts: the point farm may change only wall-clock order. Every
+ctest also runs in the MINNOW_SANITIZE=thread build, so this leg is
+what puts the farm's threads under the race detector.
+
 Usage: check_stats_json.py <path-to-fig18-binary>
 Exit status 0 on success; prints the first failure otherwise.
 """
@@ -253,6 +259,35 @@ def run_bench(bench, tmp, extra):
     return runs
 
 
+def check_host_par(bench, tmp):
+    """--host-par=3 must reproduce --host-par=1 byte for byte."""
+    outs = []
+    for par in (1, 3):
+        stats = os.path.join(tmp, f"hostpar{par}.json")
+        cmd = [
+            bench,
+            "--workloads=sssp",
+            "--scale=0.05",
+            "--threads=8",
+            "--cores=64",
+            "--credits-list=4,8,16",
+            "--seed=42",
+            f"--host-par={par}",
+            f"--stats-json={stats}",
+        ]
+        proc = subprocess.run(cmd, capture_output=True, timeout=600)
+        if proc.returncode != 0:
+            fail(f"--host-par={par} exited {proc.returncode}:\n"
+                 f"{proc.stderr.decode(errors='replace')}")
+        with open(stats, "rb") as f:
+            outs.append((f.read(), proc.stdout))
+    if outs[0][0] != outs[1][0]:
+        fail("--stats-json differs between --host-par=1 and 3")
+    if outs[0][1] != outs[1][1]:
+        fail("stdout differs between --host-par=1 and 3")
+    return len(outs[0][0])
+
+
 def main():
     if len(sys.argv) != 2:
         fail("usage: check_stats_json.py <fig18-binary>")
@@ -266,6 +301,7 @@ def main():
             f"--timeline={trace}",
         ])
         sampled = run_bench(bench, tmp, ["--stats-interval=2000"])
+        farm_bytes = check_host_par(bench, tmp)
 
     saw_pf = False
     for i, run in enumerate(runs):
@@ -284,7 +320,8 @@ def main():
         nsamples += check_intervals(run["stats"], i)
 
     print(f"check_stats_json: OK ({len(runs)} runs validated,"
-          f" {nsamples} interval samples in {len(sampled)} sampled runs)")
+          f" {nsamples} interval samples in {len(sampled)} sampled runs;"
+          f" --host-par=1/3 identical, {farm_bytes} bytes)")
 
 
 if __name__ == "__main__":

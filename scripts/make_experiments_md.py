@@ -456,11 +456,12 @@ numbers: inputs are deterministic scaled stand-ins and the machine
 is cache-scaled to match (DESIGN.md §2, §6).
 
 Regeneration goes faster on multi-core hosts without changing a
-byte of any figure: sweep benches take `--host-par=N` (independent
-figure points farmed over N host threads, logs replayed in point
-order) and every bench takes `--shards=N` (sharded host simulation,
-DESIGN.md §5j); both are byte-identical to serial runs
-(`check_shard_ab` in ctest proves it per commit).
+byte of any figure: the fig18/19/20 credit sweeps take
+`--host-par=N` (independent credit points farmed over N host
+threads, logs replayed in point order; DESIGN.md §5j), which is
+byte-identical to a serial sweep (`check_stats_json` in ctest
+compares `--host-par=1` and `3` per commit). The other benches run
+their points serially.
 
 ## Summary of shape fidelity
 

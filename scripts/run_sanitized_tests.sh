@@ -4,9 +4,9 @@
 # Usage: scripts/run_sanitized_tests.sh [address|undefined|thread]...
 # With no arguments, runs all three sanitizers in sequence. Each
 # sanitizer gets its own build directory (build-san-<name>) so
-# incremental rebuilds stay cheap. The thread leg additionally runs
-# the tsan_shard_ab ctest (sharded-host A/B under the race
-# detector); it only exists in MINNOW_SANITIZE=thread builds.
+# incremental rebuilds stay cheap. In the thread leg, the
+# check_stats_json ctest's --host-par=1/3 comparison runs the point
+# farm's threads under the race detector.
 
 set -euo pipefail
 

@@ -29,7 +29,7 @@
  *
  * Determinism: ids are assigned in simulated push/classify order and
  * every counter derives from simulated state only — byte-identical
- * per seed and shard-invariant. The hot-path line/lineage maps are
+ * per seed. The hot-path line/lineage maps are
  * open-addressed flat tables (no per-insert node allocation at
  * ~100k fills per run); their layout never leaks into results, and
  * the checkpoint code sorts entries by key before serializing so the
@@ -329,7 +329,7 @@ class Attribution
 
     /**
      * Serialize all tracker state (ordered containers, so the bytes
-     * are deterministic and shard-invariant). Symmetric.
+     * are deterministic). Symmetric.
      */
     void checkpoint(ckpt::Ckpt &ck);
 

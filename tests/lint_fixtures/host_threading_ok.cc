@@ -1,36 +1,30 @@
 // Conforming twin of host_threading_bad.cc: must produce zero
 // findings. Exercises the rule's negative space — cross-thread work
-// expressed through the sim/parallel primitives, project types that
-// merely resemble banned names, and unqualified identifiers.
+// expressed through the task farm, project types that merely
+// resemble banned names, and unqualified identifiers.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 namespace fixture
 {
 
-// The sanctioned shapes: a fork-join pool job plus an SPSC drain.
-// (Declarations stand in for sim/parallel includes so the fixture
-// lints standalone.)
-struct ShardPoolLike
-{
-    void runOnAll(const std::function<void(std::uint32_t)> &fn);
-};
+// The sanctioned shape: independent points handed to the farm, each
+// writing only its own result slot, read back in point order after
+// the join. (The declaration stands in for the sim/parallel include
+// so the fixture lints standalone.)
+void runTaskFarmLike(std::size_t n, std::uint32_t threads,
+                     const std::function<void(std::size_t)> &fn);
 
-template <typename T>
-struct SpscChannelLike
+std::vector<int>
+sweepPoints(std::size_t n, std::uint32_t threads)
 {
-    bool push(T v);
-    bool pop(T &out);
-};
-
-void
-fanOutSamples(ShardPoolLike &pool, SpscChannelLike<int> &ch)
-{
-    pool.runOnAll([&](std::uint32_t lane) { ch.push(int(lane)); });
-    int v;
-    while (ch.pop(v)) {
-    }
+    std::vector<int> results(n);
+    runTaskFarmLike(n, threads,
+                    [&](std::size_t i) { results[i] = int(i); });
+    return results;
 }
 
 // Project types named like banned primitives, without std::

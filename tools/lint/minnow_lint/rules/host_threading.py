@@ -1,34 +1,34 @@
-"""P1 `host-threading`: host concurrency lives in sim/parallel/.
+"""P1 `host-threading`: host concurrency lives in the task farm.
 
-The sharded-host design (DESIGN.md section 5j) gives the simulator
-exactly one home for host threads and cross-thread state:
-sim/parallel/ (ShardPool's worker threads, EpochBarrier, the task
-farm). Everything outside that directory must stay
-single-threaded from the host's point of view, because byte-identical
-replay is argued file by file — a stray std::thread or a mutex-guarded
-shared structure elsewhere silently widens the audit surface:
+The simulator has exactly one home for host threads and
+cross-thread state: the --host-par point farm in
+sim/parallel/task_farm.{hh,cc} (DESIGN.md section 5j), which runs
+independent points, each with its own Machine, on a fixed set of
+threads. Everything else must stay single-threaded from the host's
+point of view, because byte-identical replay is argued file by file
+— a stray std::thread or a mutex-guarded shared structure elsewhere
+silently widens the audit surface:
 
   - std::thread / std::jthread / pthread_*: a second execution
-    context outside the pool's fork-join discipline;
+    context outside the farm;
   - std::mutex / condition_variable and friends (and their lock
     wrappers): blocking cross-thread state with untracked ordering —
-    sharded code exchanges data through epoch barriers, with each
-    lane writing its own disjoint slots;
+    farm points share no simulator state, so nothing needs a lock;
   - std::atomic / std::atomic_flag: lock-free cross-thread state
     with the same problem in a harder-to-spot shape;
   - std::async / future / promise / semaphores / latches / barriers:
     thread creation or synchronization by another name.
 
-Code that genuinely needs one of these outside sim/parallel/ (e.g.
-the async-signal-safe spinlock in base/logging.cc, which cannot
-depend on sim/) documents why with a LINT-OK(host-threading) at the
-use site.
+Code that genuinely needs one of these outside the farm (e.g. the
+async-signal-safe spinlock guarding the panic-hook registry in
+base/logging.cc, which farm threads share) documents why with a
+LINT-OK(host-threading) at the use site.
 """
 
 RULE_ID = "host-threading"
 
 DOC = ("bans std::thread/mutex/atomic and other host concurrency "
-       "primitives outside sim/parallel/")
+       "primitives outside sim/parallel/task_farm")
 
 # Identifiers banned when std::-qualified. std::atomic_<T> aliases
 # (atomic_bool, atomic_uint64_t, ...) are caught by prefix below.
@@ -64,21 +64,24 @@ _BANNED_STD = {
 
 _ATOMIC_PREFIX = "atomic"
 
-_HOME = "sim/parallel/"
+_HOME = "sim/parallel/task_farm"
+_HOME_FILES = (_HOME + ".hh", _HOME + ".cc")
+
+_WHERE = ("host concurrency lives in the --host-par task farm "
+          "(DESIGN.md 5j)")
 
 
 def _in_home(path):
-    return _HOME in path.replace("\\", "/")
+    return path.replace("\\", "/").endswith(_HOME_FILES)
 
 
 def _finding(model, tok, what):
     return (model.path, tok.line, RULE_ID,
-            "%s (%s) outside %s; host concurrency lives in "
-            "sim/parallel (pool + barriers + channels, DESIGN.md "
-            "5j) — route through it or justify with a LINT-OK"
+            "%s (%s) outside %s; %s — route through it or justify "
+            "with a LINT-OK"
             % (what, _BANNED_STD.get(tok.text,
                                      "cross-thread shared state"),
-               _HOME.rstrip("/")))
+               _HOME, _WHERE))
 
 
 def check(unit):
@@ -93,10 +96,8 @@ def check(unit):
             if t.text.startswith("pthread_"):
                 findings.append(
                     (model.path, t.line, RULE_ID,
-                     "%s() (raw pthreads) outside %s; host "
-                     "concurrency lives in sim/parallel (pool + "
-                     "barriers + channels, DESIGN.md 5j)"
-                     % (t.text, _HOME.rstrip("/"))))
+                     "%s() (raw pthreads) outside %s; %s"
+                     % (t.text, _HOME, _WHERE)))
                 continue
             # Only std::-qualified names: a project type that
             # happens to be called `barrier` or `future` is fine.
@@ -112,8 +113,6 @@ def check(unit):
                 findings.append(
                     (model.path, t.line, RULE_ID,
                      "std::%s (lock-free cross-thread state) "
-                     "outside %s; host concurrency lives in "
-                     "sim/parallel (pool + barriers + channels, "
-                     "DESIGN.md 5j) — route through it or justify "
-                     "with a LINT-OK" % (t.text, _HOME.rstrip("/"))))
+                     "outside %s; %s — route through it or justify "
+                     "with a LINT-OK" % (t.text, _HOME, _WHERE)))
     return findings
