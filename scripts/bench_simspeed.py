@@ -327,18 +327,21 @@ def run_sampler(fig, smoke):
              "--cores=64", "--credits-list=8", "--seed=42"]
     reps = 3 if smoke else 5
 
-    def best(extra):
-        walls = []
-        for _ in range(reps):
-            wall, proc = timed_run([fig] + point + extra)
-            if proc.returncode != 0:
-                fail(f"sampler point exited {proc.returncode}:"
-                     f"\n{proc.stdout}\n{proc.stderr}")
-            walls.append(wall)
-        return min(walls), walls
+    def point_run(extra):
+        wall, proc = timed_run([fig] + point + extra)
+        if proc.returncode != 0:
+            fail(f"sampler point exited {proc.returncode}:"
+                 f"\n{proc.stdout}\n{proc.stderr}")
+        return wall
 
-    off, off_walls = best([])
-    on, on_walls = best(["--stats-interval=2000"])
+    # Off and on runs alternate, as in run_attribution, so a slow
+    # stretch of the host lands on both sides of the ratio instead of
+    # on one series of back-to-back runs.
+    off_walls, on_walls = [], []
+    for _ in range(reps):
+        off_walls.append(point_run([]))
+        on_walls.append(point_run(["--stats-interval=2000"]))
+    off, on = min(off_walls), min(on_walls)
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "stats.json")
         _, proc = timed_run([fig] + point + ["--stats-interval=2000",

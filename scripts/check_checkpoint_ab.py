@@ -4,7 +4,8 @@
 Drives the point_runner bench through the full checkpoint matrix for
 sssp (minnow-pf) and pr (obim), plus sssp (minnow-pf) with
 --stats-interval=500 so the rescue anchor carries interval samples
-through the checkpoint:
+through the checkpoint, and sssp (minnow-pf) with all three periodic
+services armed at once (stats sampler, timeline sampler, watchdog):
 
   1. cold baseline: one uninterrupted run with --stats-json (and,
      for sssp, --timeline).
@@ -37,6 +38,9 @@ POINTS = [
     ("pr", "pr", "obim", False, []),
     ("sssp-sampled", "sssp", "minnow-pf", False,
      ["--stats-interval=500"]),
+    ("sssp-services", "sssp", "minnow-pf", True,
+     ["--stats-interval=500", "--timeline-interval=1024",
+      "--watchdog=2000"]),
 ]
 SCALE = "0.1"
 THREADS = "4"

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "base/logging.hh"
-#include "sim/event_queue.hh"
 
 namespace minnow
 {
@@ -357,44 +356,11 @@ StatsRegistry::writeJsonFile(const std::string &path) const
 }
 
 void
-StatsRegistry::startSampling(EventQueue &eq, Cycle interval)
-{
-    fatal_if(interval == 0, "stats sampling interval must be > 0");
-    if (sampler_)
-        return; // already armed.
-    sampler_ = std::make_unique<Sampler>();
-    sampler_->registry = this;
-    sampler_->eq = &eq;
-    sampler_->interval = interval;
-    eq.daemonScheduled();
-    eq.schedule(eq.now() + interval, &StatsRegistry::sampleEvent,
-                sampler_.get());
-}
-
-void
-StatsRegistry::sampleEvent(void *arg)
-{
-    auto *s = static_cast<Sampler *>(arg);
-    s->eq->daemonFired();
-    s->registry->recordSample(s->eq->now());
-    // Re-arm only while non-daemon work remains: against empty()
-    // alone, this sampler and any other periodic daemon (timeline
-    // sampler, watchdog) would keep each other alive forever.
-    if (!s->eq->quiescent()) {
-        s->eq->daemonScheduled();
-        s->eq->schedule(s->eq->now() + s->interval,
-                        &StatsRegistry::sampleEvent, s);
-    }
-}
-
-void
 StatsRegistry::checkpoint(ckpt::Ckpt &ck)
 {
-    // The sampler is an event-queue daemon and is re-armed by the
-    // restored run itself. The layout counter and evaluation plan
-    // are caches over groups_, rebuilt at the next sample.
-    ck.transient("sampler_ layoutVersion_ planVersion_ planSchema_ "
-                 "plan_");
+    // The layout counter and evaluation plan are caches over
+    // groups_, rebuilt at the next sample.
+    ck.transient("layoutVersion_ planVersion_ planSchema_ plan_");
     std::uint64_t n = 0;
     for (const auto &[gname, g] : groups_) {
         (void)g;

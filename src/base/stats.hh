@@ -10,8 +10,8 @@
  *  - The StatsRegistry: named groups ("sim", "core3", "l2_3",
  *    "minnow0", "worklist") of typed stats — scalars, counters,
  *    formulas evaluated lazily at dump time (MPKI, prefetch
- *    accuracy), and fixed-bucket histograms — with JSON export and an
- *    optional per-interval sampling hook driven off the EventQueue.
+ *    accuracy), and fixed-bucket histograms — with JSON export and
+ *    optional interval samples (recordSample()).
  *
  * Components register their stats into a group once at construction;
  * formulas capture references to the component's own counters, so
@@ -37,8 +37,6 @@
 
 namespace minnow
 {
-
-class EventQueue;
 
 /** Running mean/min/max over a stream of samples. */
 class StatAverage
@@ -537,12 +535,11 @@ class StatsRegistry
     bool writeJsonFile(const std::string &path) const;
 
     /**
-     * Sample all non-histogram stats every @p interval cycles, driven
-     * by events on @p eq. The sampler re-arms only while other events
-     * remain pending, so it never keeps a drained simulation alive.
-     * The registry must outlive the event queue's run.
+     * Append one interval sample of all non-histogram stats, stamped
+     * with cycle @p now. The Machine calls this periodically (its
+     * --stats-interval service on the event queue).
      */
-    void startSampling(EventQueue &eq, Cycle interval);
+    void recordSample(Cycle now);
 
     SampleList samples() const { return SampleList(*this); }
 
@@ -555,13 +552,6 @@ class StatsRegistry
     void checkpoint(ckpt::Ckpt &ck);
 
   private:
-    struct Sampler
-    {
-        StatsRegistry *registry = nullptr;
-        EventQueue *eq = nullptr;
-        Cycle interval = 0;
-    };
-
     /** One interval sample: schemas_[schema].size() values at offset. */
     struct SampleRow
     {
@@ -584,8 +574,6 @@ class StatsRegistry
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
     static constexpr std::uint64_t kNoPlan = ~std::uint64_t(0);
 
-    static void sampleEvent(void *arg);
-    void recordSample(Cycle now);
     /** Rebuild plan_ (and intern its schema) for the live layout. */
     void rebuildPlan();
     /** Index of the schema with exactly these keys, appending one
@@ -594,7 +582,6 @@ class StatsRegistry
     SampleView sampleAt(std::size_t i) const;
 
     std::map<std::string, std::unique_ptr<StatsGroup>> groups_;
-    std::unique_ptr<Sampler> sampler_;
 
     /** Bumped whenever a group or stat is added or removed. */
     std::uint64_t layoutVersion_ = 0;

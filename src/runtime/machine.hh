@@ -103,11 +103,29 @@ class Machine
                 Cat::Mem, "mem.prefetchLinesTracked", this, [this] {
                     return double(memory.prefetchLinesTracked());
                 });
-            if (cfg.timelineInterval)
-                timeline->startSampling(eq, cfg.timelineInterval);
+            // Periodic services: the registration order (timeline,
+            // stats, watchdog) fixes how same-cycle services
+            // interleave, so it is part of the sampled bytes.
+            if (cfg.timelineInterval) {
+                eq.every(
+                    cfg.timelineInterval,
+                    [](void *tl, Cycle now) {
+                        static_cast<::minnow::timeline::Timeline *>(tl)
+                            ->pollProviders(now);
+                        return true;
+                    },
+                    timeline.get());
+            }
         }
-        if (cfg.statsSampleInterval)
-            stats.startSampling(eq, cfg.statsSampleInterval);
+        if (cfg.statsSampleInterval) {
+            eq.every(
+                cfg.statsSampleInterval,
+                [](void *reg, Cycle now) {
+                    static_cast<StatsRegistry *>(reg)->recordSample(now);
+                    return true;
+                },
+                &stats);
+        }
         if (!cfg.faultSpec.empty()) {
             faults = std::make_unique<FaultInjector>(cfg.faultSpec,
                                                      cfg.faultSeed);

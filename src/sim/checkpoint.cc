@@ -99,8 +99,7 @@ Writer::add(const std::string &name,
 std::vector<std::uint8_t>
 Writer::encode() const
 {
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic, kMagic + kMagicLen);
+    std::vector<std::uint8_t> out(kMagic, kMagic + kMagicLen);
     putU32(out, std::uint32_t(sections_.size()));
     for (const Section &s : sections_) {
         putU32(out, std::uint32_t(s.name.size()));

@@ -111,6 +111,31 @@ EventQueue::run(std::uint64_t maxEvents)
     return budget0 - budget;
 }
 
+void
+EventQueue::every(Cycle interval, Service fn, void *ctx)
+{
+    panic_if(interval == 0, "periodic service interval must be > 0");
+    services_.push_back(Periodic{this, fn, ctx, interval});
+    daemonScheduled();
+    schedule(now_ + interval, &EventQueue::serviceEvent,
+             &services_.back());
+}
+
+void
+EventQueue::serviceEvent(void *arg)
+{
+    auto *s = static_cast<Periodic *>(arg);
+    EventQueue &eq = *s->eq;
+    eq.daemonFired();
+    // Re-arm only while non-service work remains: against empty()
+    // alone, any two services would keep each other alive forever.
+    if (s->fn(s->ctx, eq.now_) && !eq.quiescent()) {
+        eq.daemonScheduled();
+        eq.schedule(eq.now_ + s->interval, &EventQueue::serviceEvent,
+                    s);
+    }
+}
+
 bool
 EventQueue::pollTriggers()
 {

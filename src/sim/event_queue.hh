@@ -33,6 +33,7 @@
 #include <csignal>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <queue>
 #include <vector>
 
@@ -94,25 +95,24 @@ class EventQueue
     std::size_t pending() const { return size_; }
 
     /**
-     * Daemon accounting for periodic housekeeping events (the stats
-     * and timeline samplers, the watchdog). A daemon re-arms itself
-     * only while real work remains — but "real work" must exclude
-     * the other daemons, or any two of them keep each other alive
-     * and run() never drains. Protocol: call daemonScheduled() when
-     * scheduling the event, daemonFired() first thing in its
-     * handler, and re-arm only while quiescent() is false.
+     * A periodic service: called with its context and the current
+     * cycle; returns false to stop for good.
      */
-    void daemonScheduled() { ++daemons_; }
+    using Service = bool (*)(void *ctx, Cycle now);
 
-    void
-    daemonFired()
-    {
-        panic_if(daemons_ == 0, "daemonFired with no daemon pending");
-        --daemons_;
-    }
-
-    /** True when only daemon (housekeeping) events remain pending. */
-    bool quiescent() const { return size_ <= daemons_; }
+    /**
+     * Run @p fn(ctx, now) every @p interval cycles, first at
+     * now() + interval. This is the only way to schedule periodic
+     * housekeeping (the stats and timeline samplers, the watchdog):
+     * a service is re-armed only while it returns true *and* events
+     * other than services remain pending, so services never keep a
+     * drained queue alive, alone or by keeping each other alive.
+     * Each service owns one event, scheduled at registration and
+     * again each time it runs, just as a hand-written periodic event
+     * would be; services registered together with equal intervals
+     * therefore fire in registration order.
+     */
+    void every(Cycle interval, Service fn, void *ctx);
 
     /** Cycle of the earliest pending event (now() when empty). */
     Cycle headTime() const;
@@ -207,9 +207,10 @@ class EventQueue
     bool interrupted() const { return interrupted_; }
 
     /**
-     * Reset to a freshly-constructed state: time zero, stop flag and
-     * diagnostic hook cleared. The queue must be empty and must not
-     * be executing. Bucket storage keeps its capacity (recycling).
+     * Reset to a freshly-constructed state: time zero, stop flag,
+     * periodic services and diagnostic hook cleared. The queue must
+     * be empty and must not be executing. Bucket storage keeps its
+     * capacity (recycling).
      */
     void
     reset()
@@ -219,6 +220,7 @@ class EventQueue
                  " run()");
         now_ = 0;
         daemons_ = 0;
+        services_.clear();
         farSeq_ = 0;
         cursor_ = 0;
         stopped_ = false;
@@ -255,7 +257,7 @@ class EventQueue
             daemons_ = std::size_t(v);
         ck.io(executed_);
         ck.transient("buckets_ occupied_ far_ cursor_ farSeq_"
-                     " stopped_ running_ diagHook_ prof_"
+                     " services_ stopped_ running_ diagHook_ prof_"
                      " interrupted_ interruptSource_ triggersArmed_"
                      " stopAtCycle_ stopAtExec_ stopTriggerArmed_"
                      " stopTriggerFired_");
@@ -294,6 +296,33 @@ class EventQueue
     };
 
     using Bucket = std::vector<Compact>;
+
+    /** One every() registration; lives in services_ (stable). */
+    struct Periodic
+    {
+        EventQueue *eq;
+        Service fn;
+        void *ctx;
+        Cycle interval;
+    };
+
+    /** The one handler behind every periodic service. */
+    static void serviceEvent(void *arg);
+
+    /**
+     * Daemon accounting: pending service events are "daemons", and
+     * the queue is quiescent when only daemons remain.
+     */
+    void daemonScheduled() { ++daemons_; }
+
+    void
+    daemonFired()
+    {
+        panic_if(daemons_ == 0, "daemonFired with no daemon pending");
+        --daemons_;
+    }
+
+    bool quiescent() const { return size_ <= daemons_; }
 
     void
     scheduleCompact(Cycle when, Compact ev)
@@ -334,7 +363,7 @@ class EventQueue
 
     Cycle now_ = 0;
     std::size_t size_ = 0;   //!< total pending events (wheel + far)
-    std::size_t daemons_ = 0; //!< pending daemon events (<= size_)
+    std::size_t daemons_ = 0; //!< pending service events (<= size_)
     std::size_t cursor_ = 0; //!< drain position in the now_ bucket
     std::uint64_t farSeq_ = 0;
     bool stopped_ = false;
@@ -351,6 +380,12 @@ class EventQueue
     std::uint64_t stopAtExec_ = 0;
     bool stopTriggerArmed_ = false;
     bool stopTriggerFired_ = false;
+
+    /**
+     * every() registrations; a list for stable addresses and no
+     * allocation while empty. Cold, so kept after the run-loop state.
+     */
+    std::list<Periodic> services_;
 };
 
 } // namespace minnow

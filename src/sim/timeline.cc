@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "base/logging.hh"
-#include "sim/event_queue.hh"
 
 namespace minnow::timeline
 {
@@ -326,37 +325,6 @@ Timeline::removeProviders(const void *owner)
     std::erase_if(providers_, [owner](const Provider &p) {
         return p.owner == owner;
     });
-}
-
-void
-Timeline::startSampling(EventQueue &eq, Cycle interval)
-{
-    fatal_if(interval == 0, "timeline sampling interval must be > 0");
-    if (sampler_)
-        return; // already armed.
-    sampler_ = std::make_unique<Sampler>();
-    sampler_->tl = this;
-    sampler_->eq = &eq;
-    sampler_->interval = interval;
-    eq.daemonScheduled();
-    eq.schedule(eq.now() + interval, &Timeline::sampleEvent,
-                sampler_.get());
-}
-
-void
-Timeline::sampleEvent(void *arg)
-{
-    auto *s = static_cast<Sampler *>(arg);
-    s->eq->daemonFired();
-    s->tl->pollProviders(s->eq->now());
-    // Re-arm only while non-daemon work remains: against empty()
-    // alone, this sampler and any other periodic daemon (stats
-    // sampler, watchdog) would keep each other alive forever.
-    if (!s->eq->quiescent()) {
-        s->eq->daemonScheduled();
-        s->eq->schedule(s->eq->now() + s->interval,
-                        &Timeline::sampleEvent, s);
-    }
 }
 
 void

@@ -27,8 +27,8 @@
  * unbalanced begin/end pair in the export.
  *
  * Overhead contract: with --timeline unset no Timeline exists and
- * every emit site costs one pointer null-check; the sampler arms no
- * events and no stats group is registered.
+ * every emit site costs one pointer null-check; no sampling service is
+ * armed and no stats group is registered.
  *
  * Determinism: records carry only simulated cycles and values derived
  * from simulated state, tracks are registered in construction order,
@@ -41,17 +41,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "base/stats.hh"
 #include "base/types.hh"
-
-namespace minnow
-{
-class EventQueue;
-}
 
 namespace minnow::timeline
 {
@@ -252,12 +246,11 @@ class Timeline
     void removeProviders(const void *owner);
 
     /**
-     * Poll the providers every @p interval cycles, driven by events
-     * on @p eq. Like stats sampling, the sampler re-arms only while
-     * other events remain pending, so it never keeps a drained
-     * simulation alive.
+     * Poll every provider once, stamping changed values with cycle
+     * @p at. The Machine calls this every --timeline-interval cycles
+     * (its timeline service on the event queue).
      */
-    void startSampling(EventQueue &eq, Cycle interval);
+    void pollProviders(Cycle at);
 
     /** Register the "timeline" stats group (attribution report). */
     void registerStats(StatsRegistry &reg);
@@ -323,15 +316,6 @@ class Timeline
         bool hasLast = false;
     };
 
-    struct Sampler
-    {
-        Timeline *tl = nullptr;
-        EventQueue *eq = nullptr;
-        Cycle interval = 0;
-    };
-
-    static void sampleEvent(void *arg);
-    void pollProviders(Cycle at);
     void push(const Record &r);
     void flowRec(TrackId t, Name n, Cycle at, std::uint64_t id,
                  RecKind kind);
@@ -355,7 +339,6 @@ class Timeline
     std::uint32_t counterTid_ = 0; //!< display order of counters.
 
     std::vector<Provider> providers_;
-    std::unique_ptr<Sampler> sampler_;
 
     // Attribution histograms (registry-owned; null until
     // registerStats()).

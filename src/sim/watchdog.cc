@@ -155,17 +155,12 @@ Watchdog::arm()
         return;
     armed_ = true;
     last_ = sample();
-    machine_->eq.daemonScheduled();
-    machine_->eq.schedule(machine_->eq.now() + interval_,
-                          &Watchdog::checkEvent, this);
-}
-
-void
-Watchdog::checkEvent(void *arg)
-{
-    auto *wd = static_cast<Watchdog *>(arg);
-    wd->machine_->eq.daemonFired();
-    wd->check();
+    machine_->eq.every(
+        interval_,
+        [](void *wd, Cycle) {
+            return static_cast<Watchdog *>(wd)->check();
+        },
+        this);
 }
 
 Watchdog::Snapshot
@@ -182,7 +177,7 @@ Watchdog::sample() const
     return s;
 }
 
-void
+bool
 Watchdog::check()
 {
     checksRun_ += 1;
@@ -190,7 +185,7 @@ Watchdog::check()
     // A finished run stops the heartbeat: the monitor declared
     // termination, so pending==0 forever is expected, not a hang.
     if (m.monitor.terminated())
-        return;
+        return false;
     Snapshot cur = sample();
     if (cur == last_) {
         stale_ += 1;
@@ -214,7 +209,7 @@ Watchdog::check()
                                     m.eq.now());
             if (onStall_) {
                 onStall_(reason);
-                return;
+                return false;
             }
             dumpDiagnostic(m, reason);
             panic("watchdog: %s", reason.c_str());
@@ -223,15 +218,7 @@ Watchdog::check()
         stale_ = 0;
         last_ = cur;
     }
-    // Re-arm only while non-daemon work remains, like the samplers:
-    // the watchdog must not keep a drained queue running, and
-    // against empty() alone it and a periodic sampler would keep
-    // each other alive forever.
-    if (!m.eq.quiescent()) {
-        m.eq.daemonScheduled();
-        m.eq.schedule(m.eq.now() + interval_, &Watchdog::checkEvent,
-                      this);
-    }
+    return true;
 }
 
 } // namespace minnow

@@ -5,7 +5,8 @@
  * A hung simulation used to spin silently until the event budget ran
  * out; with fault injection in the tree a livelock is now a scenario
  * we deliberately provoke, so it must be diagnosable. The Watchdog
- * rides the EventQueue like the stats sampler does and samples a
+ * is a periodic EventQueue service (EventQueue::every), like the
+ * stats sampler, and samples a
  * small progress signature (instruction commits, WorkMonitor
  * pending/stealable movement, memory traffic). When the signature is
  * unchanged for N consecutive checks it dumps a structured
@@ -91,8 +92,8 @@ class Watchdog
         bool operator==(const Snapshot &) const = default;
     };
 
-    static void checkEvent(void *arg);
-    void check();
+    /** One progress check; false once the watchdog should stop. */
+    bool check();
     Snapshot sample() const;
 
     runtime::Machine *machine_;

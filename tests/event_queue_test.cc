@@ -3,13 +3,14 @@
  * Timing-wheel EventQueue tests: the deterministic (when, seq)
  * ordering contract across the bucket/overflow boundary, far-future
  * (multi-wheel-rotation) events, schedule-during-resume, reset()
- * semantics, run() re-entrancy, and a byte-identical stats-JSON A/B
- * run of a real workload.
+ * semantics, run() re-entrancy, the periodic-service hub (every()),
+ * and a byte-identical stats-JSON A/B run of a real workload.
  */
 
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstring>
 #include <queue>
 #include <vector>
 
@@ -240,76 +241,150 @@ TEST(EventQueue, StopMidBucketPreservesRemainingSameCycleEvents)
     EXPECT_EQ(eq.now(), 4u);
 }
 
-/**
- * Self-rearming periodic daemon (the stats/timeline samplers and the
- * watchdog in miniature), following the documented protocol:
- * daemonScheduled() on arm, daemonFired() first thing in the
- * handler, re-arm only while quiescent() is false.
- */
-struct PeriodicDaemon
+/** Periodic service counting its calls; stops when told to. */
+struct CountingService
+{
+    std::uint64_t fires = 0;
+    std::uint64_t stopAfter = ~std::uint64_t(0);
+    std::vector<int> *order = nullptr;
+    int id = 0;
+
+    static bool
+    fire(void *p, Cycle)
+    {
+        auto *s = static_cast<CountingService *>(p);
+        s->fires += 1;
+        if (s->order)
+            s->order->push_back(s->id);
+        return s->fires < s->stopAfter;
+    }
+};
+
+/** Finite chain of real events: one every 40 cycles, @p left times. */
+struct Chain
 {
     EventQueue *eq;
-    Cycle interval;
-    std::uint64_t fires = 0;
-
-    void
-    arm()
-    {
-        eq->daemonScheduled();
-        eq->schedule(eq->now() + interval, &PeriodicDaemon::fire,
-                     this);
-    }
+    int left;
 
     static void
-    fire(void *p)
+    step(void *p)
     {
-        auto *d = static_cast<PeriodicDaemon *>(p);
-        d->eq->daemonFired();
-        d->fires += 1;
-        if (!d->eq->quiescent())
-            d->arm();
+        auto *c = static_cast<Chain *>(p);
+        if (--c->left > 0)
+            c->eq->schedule(c->eq->now() + 40, &Chain::step, c);
     }
 };
 
 TEST(EventQueue, MutuallyRearmingDaemonsDoNotKeepQueueAlive)
 {
-    // Two periodic daemons plus a finite chain of real events:
+    // Two periodic services plus a finite chain of real events:
     // run() must drain once the real work is gone. With a plain
-    // !empty() re-arm test the daemons would keep each other alive
+    // !empty() re-arm test the services would keep each other alive
     // forever (the --stats-interval + --timeline hang).
     EventQueue eq;
-    PeriodicDaemon a{&eq, 10};
-    PeriodicDaemon b{&eq, 15};
-    a.arm();
-    b.arm();
-    EXPECT_TRUE(eq.quiescent());
+    CountingService a, b;
+    eq.every(10, &CountingService::fire, &a);
+    eq.every(15, &CountingService::fire, &b);
 
-    struct Chain
-    {
-        EventQueue *eq;
-        int left;
-
-        static void
-        step(void *p)
-        {
-            auto *c = static_cast<Chain *>(p);
-            if (--c->left > 0)
-                c->eq->schedule(c->eq->now() + 40, &Chain::step, c);
-        }
-    } chain{&eq, 5};
+    Chain chain{&eq, 5};
     eq.schedule(40, &Chain::step, &chain);
-    EXPECT_FALSE(eq.quiescent());
 
     std::uint64_t executed = eq.run();
     EXPECT_TRUE(eq.empty());
     EXPECT_FALSE(eq.stopped());
-    // Real work ended at cycle 200; the daemons must have stopped
+    // Real work ended at cycle 200; the services must have stopped
     // within one interval of that instead of running forever.
     EXPECT_LE(eq.now(), 215u);
     EXPECT_GE(a.fires, 1u);
     EXPECT_LE(a.fires, 25u);
     EXPECT_LE(b.fires, 18u);
     EXPECT_LT(executed, 60u);
+}
+
+TEST(EventQueue, ServiceReturningFalseIsNotRearmed)
+{
+    EventQueue eq;
+    CountingService s;
+    s.stopAfter = 3;
+    eq.every(10, &CountingService::fire, &s);
+
+    // Real work runs far past the service's third call.
+    Chain chain{&eq, 10};
+    eq.schedule(40, &Chain::step, &chain);
+
+    eq.run();
+    EXPECT_EQ(s.fires, 3u);
+    EXPECT_EQ(eq.now(), 400u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueue, SameCycleServicesFireInRegistrationOrder)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    CountingService a, b;
+    a.order = b.order = &order;
+    a.id = 1;
+    b.id = 2;
+    eq.every(10, &CountingService::fire, &a);
+    eq.every(10, &CountingService::fire, &b);
+
+    Chain chain{&eq, 1};
+    eq.schedule(35, &Chain::step, &chain);
+
+    eq.run();
+    // Due together at cycles 10, 20, 30 and 40; the queue turns
+    // quiescent after the chain's last event at 35.
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 1, 2, 1, 2, 1, 2}));
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, CheckpointRoundTripKeepsServiceAccounting)
+{
+    EventQueue eq;
+    CountingService a, b;
+    eq.every(10, &CountingService::fire, &a);
+    eq.every(25, &CountingService::fire, &b);
+    Chain chain{&eq, 5};
+    eq.schedule(40, &Chain::step, &chain);
+
+    // Stop mid-run with both services and one chain event pending.
+    eq.setStopTrigger(100, 0);
+    eq.run();
+    ASSERT_TRUE(eq.stopTriggerFired());
+    ASSERT_EQ(eq.pending(), 3u);
+
+    std::vector<std::uint8_t> saved;
+    {
+        ckpt::Ckpt ck = ckpt::Ckpt::saver(&saved);
+        eq.checkpoint(ck);
+    }
+    // Layout: now_, size_, daemons_, executed_ (8 bytes each).
+    ASSERT_EQ(saved.size(), 32u);
+    std::uint64_t size = 0, daemons = 0;
+    std::memcpy(&size, saved.data() + 8, 8);
+    std::memcpy(&daemons, saved.data() + 16, 8);
+    EXPECT_EQ(size, 3u);
+    EXPECT_EQ(daemons, 2u);
+
+    EventQueue restored;
+    ckpt::Ckpt in = ckpt::Ckpt::loader(saved.data(), saved.size());
+    restored.checkpoint(in);
+    ASSERT_TRUE(in.ok());
+    EXPECT_EQ(restored.now(), eq.now());
+    EXPECT_EQ(restored.pending(), eq.pending());
+    std::vector<std::uint8_t> again;
+    {
+        ckpt::Ckpt ck = ckpt::Ckpt::saver(&again);
+        restored.checkpoint(ck);
+    }
+    EXPECT_EQ(again, saved);
+
+    // The original keeps running to a drained queue.
+    eq.ackStopTrigger();
+    eq.run();
+    EXPECT_TRUE(eq.empty());
 }
 
 /**

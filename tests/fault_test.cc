@@ -558,6 +558,45 @@ TEST(WatchdogTest, StaysQuietOnAHealthyRun)
     EXPECT_GT(m.watchdog->checksRun(), 0u);
 }
 
+TEST(WatchdogTest, AllThreePeriodicServicesArmedStillDrain)
+{
+    // The stats sampler, the timeline sampler and the watchdog armed
+    // together: the configuration of the mutual-keepalive hang. The
+    // run must finish, verify, leave the watchdog quiet, and sample
+    // stats every 500 cycles until the real work ends.
+    std::string tl = testing::TempDir() + "minnow-services-tl.json";
+    graph::CsrGraph g = graph::gridGraph(16, 16, 100, 1);
+    apps::SsspApp app(&g, 0, false, 1u << 30, "sssp");
+    MachineConfig cfg = minnowConfig(4, true);
+    cfg.statsSampleInterval = 500;
+    cfg.timelinePath = tl;
+    cfg.timelineInterval = 1024;
+    cfg.watchdogInterval = 2000;
+    {
+        Machine m(cfg);
+        g.assignAddresses(m.alloc, 32);
+        app.reset();
+        RunConfig rc;
+        rc.threads = 4;
+        RunResult r = runMinnow(m, app, 3, rc);
+        EXPECT_FALSE(r.timedOut);
+        EXPECT_TRUE(r.verified);
+        EXPECT_TRUE(m.eq.empty());
+        ASSERT_NE(m.watchdog, nullptr);
+        EXPECT_FALSE(m.watchdog->tripped());
+        EXPECT_GT(m.watchdog->checksRun(), 0u);
+
+        auto samples = m.stats.samples();
+        ASSERT_FALSE(samples.empty());
+        for (std::size_t i = 0; i < samples.size(); ++i)
+            EXPECT_EQ(samples[i].cycle(), Cycle(500 * (i + 1)));
+        // One sample per started 500-cycle window of the run: the
+        // sampler stops at the first boundary after the work ends.
+        EXPECT_EQ(samples.size(), std::size_t((r.cycles + 499) / 500));
+    }
+    std::remove(tl.c_str());
+}
+
 TEST(WatchdogTest, BudgetExhaustionWritesDiagnosticFile)
 {
     std::string path = testing::TempDir() + "minnow-diag-test.json";

@@ -1,7 +1,8 @@
 // Conforming twin of daemon_accounting_bad.cc: zero findings. The
-// sampler follows the full daemon protocol (mirrors
-// base/stats.cc); the one-shot event below never re-arms, so the
-// protocol does not apply to it.
+// sampler registers a periodic service with EventQueue::every
+// (mirrors the Machine's stats service) and never schedules itself;
+// the one-shot event below never re-arms, so the rule does not
+// apply to it.
 
 namespace fixture
 {
@@ -10,9 +11,9 @@ class EventQueue
 {
   public:
     unsigned long long now() const;
-    bool quiescent() const;
-    void daemonScheduled();
-    void daemonFired();
+    void every(unsigned long long interval,
+               bool (*fn)(void *ctx, unsigned long long now),
+               void *ctx);
     void schedule(unsigned long long when, void (*fn)(void *),
                   void *arg);
 };
@@ -23,30 +24,25 @@ class GoodSampler
     void start();
 
   private:
-    static void sampleEvent(void *arg);
+    static bool sample(void *ctx, unsigned long long now);
 
     EventQueue *eq_ = nullptr;
     unsigned long long interval_ = 1000;
+    unsigned long long samples_ = 0;
 };
 
 void
 GoodSampler::start()
 {
-    eq_->daemonScheduled();
-    eq_->schedule(eq_->now() + interval_, &GoodSampler::sampleEvent,
-                  this);
+    eq_->every(interval_, &GoodSampler::sample, this);
 }
 
-void
-GoodSampler::sampleEvent(void *arg)
+bool
+GoodSampler::sample(void *ctx, unsigned long long now)
 {
-    auto *s = static_cast<GoodSampler *>(arg);
-    s->eq_->daemonFired();
-    if (!s->eq_->quiescent()) {
-        s->eq_->daemonScheduled();
-        s->eq_->schedule(s->eq_->now() + s->interval_,
-                         &GoodSampler::sampleEvent, s);
-    }
+    (void)now;
+    static_cast<GoodSampler *>(ctx)->samples_ += 1;
+    return true;
 }
 
 class OneShot
@@ -63,7 +59,7 @@ class OneShot
 void
 OneShot::arm()
 {
-    // Never re-arms: a plain event, no daemon accounting needed.
+    // Never re-arms: a plain event, not a periodic one.
     eq_->schedule(eq_->now() + 5, &OneShot::fireEvent, this);
 }
 

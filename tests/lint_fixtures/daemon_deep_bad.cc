@@ -1,10 +1,9 @@
 // Seeded violation for the whole-program `daemon-accounting` rule:
-// the re-arm of a daemon handler sits two helper calls below the
-// handler. The pre-ProjectModel rule followed exactly one level and
-// missed this shape entirely — this fixture pins the fix. Exactly
-// one finding: the deep re-arm is not quiescent()-guarded. The rest
-// of the protocol (daemonScheduled at every arm site, daemonFired
-// in the handler) is deliberately correct so nothing else fires.
+// the re-arm of a periodic handler sits two helper calls below the
+// handler. The rule follows the project call graph, so the buried
+// re-arm is found. Exactly one finding, on the schedule call in
+// stepTwo(); the initial arm in start() is not reachable from the
+// handler and is not a re-arm.
 
 namespace fixture
 {
@@ -13,9 +12,6 @@ class DeepEventQueue
 {
   public:
     unsigned long long now() const;
-    bool quiescent() const;
-    void daemonScheduled();
-    void daemonFired();
     void schedule(unsigned long long when, void (*fn)(void *),
                   void *arg);
 };
@@ -37,7 +33,6 @@ class DeepSampler
 void
 DeepSampler::start()
 {
-    eq_->daemonScheduled();
     eq_->schedule(eq_->now() + interval_, &DeepSampler::tickEvent,
                   this);
 }
@@ -45,9 +40,7 @@ DeepSampler::start()
 void
 DeepSampler::tickEvent(void *arg)
 {
-    auto *s = static_cast<DeepSampler *>(arg);
-    s->eq_->daemonFired();
-    s->stepOne();
+    static_cast<DeepSampler *>(arg)->stepOne();
 }
 
 void
@@ -56,12 +49,10 @@ DeepSampler::stepOne()
     stepTwo();
 }
 
-// finding on the definition below: the re-arm two levels under the
-// handler is not guarded by quiescent(), so the queue never drains.
 void
 DeepSampler::stepTwo()
 {
-    eq_->daemonScheduled();
+    // finding: re-arm two levels under the handler.
     eq_->schedule(eq_->now() + interval_, &DeepSampler::tickEvent,
                   this);
 }

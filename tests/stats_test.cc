@@ -443,6 +443,14 @@ nopEvent(void *)
 {
 }
 
+/** EventQueue::every service recording one interval sample. */
+bool
+recordStatsSample(void *reg, Cycle now)
+{
+    static_cast<StatsRegistry *>(reg)->recordSample(now);
+    return true;
+}
+
 TEST(StatsRegistry, SamplingRecordsIntervalsAndLetsQueueDrain)
 {
     EventQueue eq;
@@ -455,7 +463,7 @@ TEST(StatsRegistry, SamplingRecordsIntervalsAndLetsQueueDrain)
     for (Cycle t = 10; t <= 500; t += 10)
         eq.schedule(t, nopEvent, &work);
 
-    reg.startSampling(eq, 100);
+    eq.every(100, recordStatsSample, &reg);
     work = 42;
     eq.run();
 
@@ -507,7 +515,7 @@ TEST(StatsRegistry, JsonNumberFormattingGolden)
 
     // One sample at cycle 10: the event at 10 was queued first.
     eq.schedule(10, nopEvent, nullptr);
-    reg.startSampling(eq, 10);
+    eq.every(10, recordStatsSample, &reg);
     eq.run();
 
     const std::string values =
@@ -559,7 +567,7 @@ sampleAcrossLateGroup(StatsRegistry &reg, Cycle lastEvent = 350)
     eq.schedule(150, addLateGroup, &reg);
     eq.schedule(250, dropLateGroup, &reg);
     eq.schedule(lastEvent, nopEvent, nullptr);
-    reg.startSampling(eq, 100);
+    eq.every(100, recordStatsSample, &reg);
     eq.run();
 }
 
@@ -649,7 +657,7 @@ TEST(StatsRegistry, JsonSamplesExpandToSampleViews)
         eq.schedule(t, bumpTicks, &ticks);
     eq.schedule(70, addLateGroup, &reg);
     eq.schedule(110, dropLateGroup, &reg);
-    reg.startSampling(eq, 25);
+    eq.every(25, recordStatsSample, &reg);
     eq.run();
 
     JsonParser p(reg.toJson());
@@ -696,7 +704,7 @@ TEST(StatsRegistry, DuplicateSampleKeysKeepLastWins)
     });
     EventQueue eq;
     eq.schedule(10, nopEvent, nullptr);
-    reg.startSampling(eq, 10);
+    eq.every(10, recordStatsSample, &reg);
     eq.run();
     ASSERT_EQ(reg.samples().size(), 1u);
     auto s = reg.samples()[0];
@@ -719,7 +727,7 @@ TEST(StatsRegistry, CheckpointKeepsPerSampleKeyValueLayout)
     reg.group("sim").scalar("a") = 0.5;
     EventQueue eq;
     eq.schedule(30, nopEvent, nullptr);
-    reg.startSampling(eq, 20);
+    eq.every(20, recordStatsSample, &reg);
     eq.run();
     ASSERT_EQ(reg.samples().size(), 2u);
     reg.removeGroup("sim");

@@ -282,8 +282,8 @@ TEST(TimelineRun, CreditHandoffsAreVisibleInTrace)
 TEST(TimelineRun, CoexistsWithStatsIntervalSampler)
 {
     // Regression: the timeline counter sampler and the
-    // --stats-interval sampler are both self-rearming EventQueue
-    // daemons; with a plain !empty() re-arm test they kept each
+    // --stats-interval sampler are both periodic EventQueue
+    // services; with a plain !empty() re-arm test they kept each
     // other alive forever and the run never terminated. Both armed
     // together must still drain.
     std::string path = "timeline_test_coexist.json";

@@ -21,9 +21,10 @@ Rules (stable identifiers, used in LINT-OK suppressions):
   stats-lifetime     L2: external StatsRegistry group registrations
                      need a removeGroup reachable from the dtor
                      (whole-program: follows helper chains).
-  daemon-accounting  E1: self-rearming EventQueue events must use the
-                     daemon accounting API, never empty()
-                     (whole-program: re-arms N helpers deep count).
+  daemon-accounting  E1: periodic events only via EventQueue::every;
+                     any self-re-arming handler outside
+                     sim/event_queue.* is a finding (whole-program:
+                     re-arms N helpers deep count).
   trace-format       T1: DPRINTF/logging format strings must match
                      their argument counts.
   serializer-coverage S1: every member of a checkpointed class must

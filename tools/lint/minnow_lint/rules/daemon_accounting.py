@@ -1,45 +1,33 @@
-"""E1 `daemon-accounting`: self-rearming events must be daemons.
+"""E1 `daemon-accounting`: periodic events only via EventQueue::every.
 
 The EventQueue drains when its last event pops. A periodic event
-that re-arms itself ("daemon" — the stats sampler, the timeline
-sampler, the watchdog) would keep the queue non-empty forever, so
-the queue exposes a daemon-accounting protocol (event_queue.hh):
+that re-arms itself would keep the queue non-empty forever unless it
+re-arms only while events other than periodic ones remain; two such
+events that each test `!empty()` keep each other alive (the
+mutual-keepalive hang). That rule lives in one place: the queue's
+periodic-service hub, `EventQueue::every(interval, fn, ctx)`, whose
+daemon accounting is private to src/sim/event_queue.*.
 
-    eq.daemonScheduled();          // at every arm site
-    eq.schedule(when, &C::handler, arg);
-    ...
-    C::handler(void *arg) {
-        eq->daemonFired();         // first thing in the handler
-        if (!eq->quiescent()) {    // re-arm only while real work
-            eq->daemonScheduled();  //   remains
-            eq->schedule(...);
-        }
-    }
+So any handler that re-arms itself outside src/sim/event_queue.* is
+a finding, whatever guard it uses: "use EventQueue::every".
 
-Guarding the re-arm with `!eq.empty()` instead is the PR 4
-mutual-keepalive hang: two daemons each see the other's pending
-event and re-arm forever.
-
-Detection (whole-program since the ProjectModel landed): a handler
-H is a *daemon* when some method schedules the member-function
-pointer `&C::H` and the re-arm of `&C::H` is reachable from H
-through the project call graph (restricted to C's methods plus free
-functions, depth <= 6 — the watchdog's checkEvent/check split and
-any deeper helper chains are followed). For a daemon chain the rule
-requires: daemonScheduled in every body that arms `&C::H`,
-daemonFired reachable from H, a quiescent() call guarding each
-re-arm body, and no empty()-based guard on an event-queue receiver
-anywhere in the chain. The pre-ProjectModel version followed exactly
-one handler→helper level; a re-arm two calls deep was a false
-negative (tests/lint_fixtures/daemon_deep_bad.cc pins the fix).
+Detection (whole-program): a handler H of class C is self-rearming
+when some method schedules the member-function pointer `&C::H` and
+that schedule is reachable from H through the project call graph
+(restricted to C's methods plus free functions, depth <= 6), so a
+re-arm buried several helpers deep is still found
+(tests/lint_fixtures/daemon_deep_bad.cc). The finding sits on each
+re-arming schedule call. One-shot handlers are exempt.
 """
 
-from ..scan import receiver_chain, split_args
+from ..scan import split_args
 
 RULE_ID = "daemon-accounting"
 
-DOC = ("self-rearming EventQueue events must use daemonScheduled/"
-       "daemonFired/quiescent, never an empty() guard")
+DOC = "periodic events only via EventQueue::every"
+
+# The hub itself is the one sanctioned self-re-arming handler.
+_HUB_PREFIX = "src/sim/event_queue."
 
 
 def _handler_schedules(body):
@@ -66,115 +54,41 @@ def _handler_schedules(body):
     return out
 
 
-def _has_id_call(body, name):
-    return any(t.kind == "id" and t.text == name and
-               i + 1 < len(body) and body[i + 1].text == "("
-               for i, t in enumerate(body))
-
-
-def _eqish_empty_calls(body):
-    """[(line, recv)] for `X.empty()`/`X->empty()` where the
-    receiver looks like an event queue."""
-    out = []
-    for i, t in enumerate(body):
-        if not (t.kind == "id" and t.text == "empty" and
-                i + 1 < len(body) and body[i + 1].text == "("):
-            continue
-        chain = receiver_chain(body, i)
-        if not chain:
-            continue
-        tail = chain[-1].lower()
-        if "eq" in tail or "queue" in tail or "events" in tail:
-            out.append((t.line, ".".join(chain)))
-    return out
+def _schedules_of(body, cls_name, hname):
+    return [line for line, hcls, h in _handler_schedules(body)
+            if h == hname and hcls in (None, cls_name)]
 
 
 def check_project(project):
     findings = []
     for cls_name, entry in project.classes.items():
         by_base = {}
-        arm_sites = {}  # handler -> [(path, line, Method)]
+        armed = set()
         for path, m in entry["methods"]:
-            base = m.name.split("::")[-1]
-            by_base.setdefault(base, (path, m))
-            for line, hcls, hname in _handler_schedules(m.body):
-                if hcls is not None and hcls != cls_name:
-                    continue
-                arm_sites.setdefault(hname, []).append(
-                    (path, line, m))
+            by_base.setdefault(m.name.split("::")[-1], (path, m))
+            for _line, hcls, hname in _handler_schedules(m.body):
+                if hcls in (None, cls_name):
+                    armed.add(hname)
 
-        for hname, sites in arm_sites.items():
+        for hname in sorted(armed):
             if hname not in by_base:
                 continue
             hpath, handler = by_base[hname]
+            # The call chain below the handler: C's own methods plus
+            # free functions, so a re-arm N helpers deep is seen.
+            chain = {id(handler): (hpath, handler)}
             hfi = project.func_of(handler)
-            # The call chain below the handler, through the project
-            # call graph: C's own methods plus free functions, so a
-            # re-arm or daemonFired buried N helpers deep is seen.
-            chain = {}
             if hfi is not None:
                 for k in project.reachable_from(
                         hfi.key, max_depth=6, same_class=cls_name):
                     cf = project.functions[k]
                     chain[id(cf.method)] = (cf.path, cf.method)
-            chain.setdefault(id(handler), (hpath, handler))
-            rearm = any(
-                any(h == hname for _l, _c, h in
-                    _handler_schedules(m.body))
-                for _p, m in chain.values())
-            if not rearm:
-                continue  # one-shot event, daemon rules don't apply
-
-            # 1. Every arm site's body must account the daemon.
-            for path, line, m in sites:
-                if not _has_id_call(m.body, "daemonScheduled"):
+            for path, m in chain.values():
+                if path.replace("\\", "/").startswith(_HUB_PREFIX):
+                    continue
+                for line in _schedules_of(m.body, cls_name, hname):
                     findings.append(
                         (path, line, RULE_ID,
-                         "'%s' is a self-rearming event but this "
-                         "schedule of &%s::%s has no daemonScheduled"
-                         "() in the same function; the queue will "
-                         "either never drain or drain early"
-                         % (hname, cls_name, hname)))
-            # 2. daemonFired must be reachable from the handler.
-            if not any(_has_id_call(m.body, "daemonFired")
-                       for _p, m in chain.values()):
-                findings.append(
-                    (hpath, handler.line, RULE_ID,
-                     "daemon handler '%s::%s' never reaches "
-                     "daemonFired(); the queue's daemon count "
-                     "stays high and run() exits early"
-                     % (cls_name, hname)))
-            # 3. The re-arm must be quiescent()-guarded in the body
-            # that performs it. Only methods reachable from the
-            # handler count as re-arm sites; a standalone arm() that
-            # only the owner calls is the initial arm and may
-            # schedule unconditionally.
-            for p, m in chain.values():
-                rearms_here = any(
-                    h == hname for _l, _c, h in
-                    _handler_schedules(m.body))
-                if rearms_here and \
-                        not _has_id_call(m.body, "quiescent"):
-                    findings.append(
-                        (p, m.line, RULE_ID,
-                         "re-arm of daemon '%s::%s' is not guarded "
-                         "by quiescent(); unconditional re-arm "
-                         "keeps the queue alive forever"
-                         % (cls_name, hname)))
-            # 4. empty()-based guards anywhere in the chain.
-            bodies = [(p, m) for p, m in chain.values()]
-            bodies += [(p, m) for p, _l, m in sites]
-            seen = set()
-            for p, m in bodies:
-                if id(m) in seen:
-                    continue
-                seen.add(id(m))
-                for line, recv in _eqish_empty_calls(m.body):
-                    findings.append(
-                        (p, line, RULE_ID,
-                         "daemon logic for '%s::%s' tests "
-                         "'%s.empty()'; with other daemons armed "
-                         "the queue is never empty (mutual "
-                         "keepalive) — use quiescent()"
-                         % (cls_name, hname, recv)))
+                         "'%s::%s' re-arms itself; use "
+                         "EventQueue::every" % (cls_name, hname)))
     return findings
